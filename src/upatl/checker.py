@@ -10,9 +10,9 @@ Strategic operators quantify existentially over finite-depth decision trees
 and universally over their capacity-compatible outcomes.  The evaluator does
 not materialize the trees: decisions at distinct suffix histories are
 independent, so it searches the and-or structure per history node, carrying
-the set of tree-aggregate results some tree can achieve.  The function
-``enumerate_strategy_trees`` still materializes trees in a deterministic
-canonical order; witness extraction uses it.
+the set of tree-aggregate results some tree can achieve.  Witnesses come
+from the same search; ``enumerate_strategy_trees`` materializes trees in
+the canonical order that witnesses and falsifiers are first in.
 
 Each nested strategic operator is re-anchored at the current prefix with the
 full configured horizon, so nesting does not starve the budget.
@@ -20,6 +20,7 @@ full configured horizon, so nesting does not starve the budget.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 from dataclasses import dataclass
@@ -28,12 +29,14 @@ from typing import Iterator
 from . import formula as fm
 from .model import ActionId, AgentId, GameStructure, StateId
 from .trace import (
+    Branch,
     CapacityAssignment,
     History,
     Path,
     StrategyTree,
     compatible_assignments,
     compatible_capacities,
+    extend_branches,
     indistinguishability_class,
     outcomes_bounded,
 )
@@ -246,6 +249,119 @@ def unprunable_capacities(
     return tuple(safe)
 
 
+class _Search:
+    """The and-or search of one strategic operator at one prefix.
+
+    A node is a suffix history since the pivot together with the branches
+    that reach it; the coalition fixes one choice per node, and a choice
+    leads to one child node per target state of the surviving branches.
+    """
+
+    def __init__(
+        self,
+        ctx: EvalContext,
+        coalition: frozenset[AgentId],
+        goal: fm.TemporalFormula,
+    ):
+        game = ctx.game
+        prefix = ctx.path.prefix(ctx.index)
+        self.game = game
+        self.goal = goal
+        self.goal_ctx = ctx.at(prefix, ctx.index)
+        self.members = tuple(sorted(coalition))
+        self.horizon = ctx.horizon
+        self.safe_caps = unprunable_capacities(game, coalition)
+        start_caps = tuple(
+            compatible_capacities(game, prefix, a) for a in game.agents
+        )
+        self.root: History = (prefix.last_state,)
+        # No compatible assignment: every tree has an empty outcome set.
+        self.start: list[Branch] = (
+            [(prefix, start_caps)] if all(start_caps) else []
+        )
+        # Outcome -> goal verdict, for ``rank``: the witness walk searches
+        # below each node it fixes again, so outcomes recur.
+        self.verdicts: dict[Path, Verdict] = {}
+
+    def is_leaf(self, history: History) -> bool:
+        return len(history) - 1 == self.horizon
+
+    def choices(self, q: StateId) -> Iterator[tuple[ActionId, ...]]:
+        return itertools.product(
+            *(sorted(self.game.protocols[a][q]) for a in self.members)
+        )
+
+    def expand(
+        self,
+        history: History,
+        branches: list[Branch],
+        choice: tuple[ActionId, ...],
+    ) -> dict[StateId, list[Branch]]:
+        return extend_branches(
+            self.game, history[-1], branches, dict(zip(self.members, choice))
+        )
+
+    def results(self, history: History, branches: list[Branch]) -> set[_Result]:
+        """The tree-aggregate results some subtree below the node achieves."""
+        if self.is_leaf(history):
+            verdict = Verdict.TRUE
+            all_false = True
+            stable_false = False
+            for branch, caps in branches:
+                got = eval_temporal(self.goal_ctx, self.goal, branch)
+                verdict = and3(verdict, got)
+                if got is Verdict.FALSE:
+                    if all(cs & self.safe_caps[a] for a, cs in enumerate(caps)):
+                        stable_false = True
+                else:
+                    all_false = False
+            return {(True, verdict, all_false, stable_false)}
+        achievable: set[_Result] = set()
+        for choice in self.choices(history[-1]):
+            groups = self.expand(history, branches, choice)
+            combined: set[_Result] = {_EMPTY_RESULT}
+            for target in sorted(groups):
+                combined = _combine(
+                    combined, self.results(history + (target,), groups[target])
+                )
+            achievable |= combined
+        return achievable
+
+    def rank(self, history: History, branches: list[Branch]) -> int:
+        """2 if some subtree below the node ends TRUE with an outcome, else
+        1 if some ends TRUE without one, else 0; stops at the first 2."""
+        if self.is_leaf(history):
+            for branch, _ in branches:
+                if branch not in self.verdicts:
+                    self.verdicts[branch] = eval_temporal(
+                        self.goal_ctx, self.goal, branch
+                    )
+                if self.verdicts[branch] is not Verdict.TRUE:
+                    return 0
+            return 2
+        best = 0
+        for choice in self.choices(history[-1]):
+            groups = self.expand(history, branches, choice)
+            ranks = self.child_ranks(history, groups)
+            if ranks is not None:
+                if 2 in ranks.values():
+                    return 2
+                best = 1
+        return best
+
+    def child_ranks(
+        self, history: History, groups: dict[StateId, list[Branch]]
+    ) -> dict[StateId, int] | None:
+        """Each child's rank, or None as soon as one cannot end TRUE."""
+        ranks = {}
+        for target in sorted(groups):
+            got = self.rank(history + (target,), groups[target])
+            if got == 0:
+                return None
+            ranks[target] = got
+        return ranks
+
+
 def eval_strategic(
     ctx: EvalContext, coalition: frozenset[AgentId], goal: fm.TemporalFormula
 ) -> Verdict:
@@ -261,75 +377,10 @@ def eval_strategic(
     capacity-incompatible, so it yields UNKNOWN instead; this keeps TRUE and
     FALSE sound for the unbounded semantics and monotone in the horizon.
     """
-    game = ctx.game
-    prefix = ctx.path.prefix(ctx.index)
-    members = tuple(sorted(coalition))
-    others = tuple(a for a in game.agents if a not in coalition)
-    horizon = ctx.horizon
-    safe_caps = unprunable_capacities(game, coalition)
-
-    start_caps = tuple(
-        compatible_capacities(game, prefix, a) for a in game.agents
-    )
-    if any(not caps for caps in start_caps):
-        # No compatible assignment: every tree has an empty outcome set.
+    search = _Search(ctx, coalition, goal)
+    if not search.start:
         return Verdict.FALSE
-
-    goal_ctx = ctx.at(prefix, ctx.index)
-
-    def results(history: History, branches) -> set[_Result]:
-        # branches: list of (path-from-origin, per-agent compatible caps).
-        if len(history) - 1 == horizon:
-            verdict = Verdict.TRUE
-            all_false = True
-            stable_false = False
-            for branch, caps in branches:
-                got = eval_temporal(goal_ctx, goal, branch)
-                verdict = and3(verdict, got)
-                if got is Verdict.FALSE:
-                    if all(cs & safe_caps[a] for a, cs in enumerate(caps)):
-                        stable_false = True
-                else:
-                    all_false = False
-            return {(True, verdict, all_false, stable_false)}
-        q = history[-1]
-        achievable: set[_Result] = set()
-        for choice in itertools.product(
-            *(sorted(game.protocols[a][q]) for a in members)
-        ):
-            fixed = dict(zip(members, choice))
-            groups: dict[StateId, list] = {}
-            for branch, caps in branches:
-                for completion in itertools.product(
-                    *(sorted(game.protocols[a][q]) for a in others)
-                ):
-                    joint = tuple(
-                        fixed[a] if a in fixed else completion[others.index(a)]
-                        for a in game.agents
-                    )
-                    new_caps = tuple(
-                        frozenset(
-                            c
-                            for c in caps[a]
-                            if joint[a] in game.capacity_actions[c]
-                        )
-                        for a in game.agents
-                    )
-                    if any(not cs for cs in new_caps):
-                        continue
-                    target = game.transitions[(q, joint)]
-                    groups.setdefault(target, []).append(
-                        (branch.extend(joint, target), new_caps)
-                    )
-            combined: set[_Result] = {_EMPTY_RESULT}
-            for target in sorted(groups):
-                combined = _combine(
-                    combined, results(history + (target,), groups[target])
-                )
-            achievable |= combined
-        return achievable
-
-    achievable = results((prefix.last_state,), [(prefix, start_caps)])
+    achievable = search.results(search.root, search.start)
     if any(ne and v is Verdict.TRUE for ne, v, _, _ in achievable):
         return Verdict.TRUE
     if all(af or st for _, _, af, st in achievable):
@@ -337,7 +388,20 @@ def eval_strategic(
     return Verdict.UNKNOWN
 
 
-# -- strategy-tree enumeration ------------------------------------------------
+# -- certificates -------------------------------------------------------------
+
+
+def _choice_targets(
+    game: GameStructure, q: StateId, fixed: dict[AgentId, ActionId]
+) -> list[StateId]:
+    """Successors of ``q`` under a coalition choice, ignoring capacities."""
+    return sorted(
+        {
+            game.transitions[(q, joint)]
+            for joint in game.joint_actions(q)
+            if all(joint[a] == x for a, x in fixed.items())
+        }
+    )
 
 
 def enumerate_strategy_trees(
@@ -374,14 +438,7 @@ def enumerate_strategy_trees(
         ):
             children: tuple[History, ...] = ()
             if len(history) < depth:
-                fixed = dict(zip(members, choice))
-                targets = sorted(
-                    {
-                        game.transitions[(q, joint)]
-                        for joint in game.joint_actions(q)
-                        if all(joint[a] == x for a, x in fixed.items())
-                    }
-                )
+                targets = _choice_targets(game, q, dict(zip(members, choice)))
                 children = tuple(history + (t,) for t in targets)
             yield from expand(
                 pending[1:] + children, decided + ((history, choice),)
@@ -390,31 +447,90 @@ def enumerate_strategy_trees(
     yield from expand(((pivot,),), ())
 
 
+def _first_choices(
+    game: GameStructure,
+    members: tuple[AgentId, ...],
+    roots: list[History],
+    depth: int,
+) -> dict[History, tuple[ActionId, ...]]:
+    """The first tree's decisions below ``roots``.
+
+    Every history of length at most ``depth`` reachable from a root under
+    these decisions gets each member's smallest protocol action, as the
+    first tree in enumeration order has it.
+    """
+    decisions: dict[History, tuple[ActionId, ...]] = {}
+    stack = [history for history in roots if members and len(history) <= depth]
+    while stack:
+        history = stack.pop()
+        q = history[-1]
+        choice = tuple(min(game.protocols[a][q]) for a in members)
+        decisions[history] = choice
+        if len(history) < depth:
+            targets = _choice_targets(game, q, dict(zip(members, choice)))
+            stack.extend(history + (t,) for t in targets)
+    return decisions
+
+
 def find_winning_strategy(
     ctx: EvalContext,
     coalition: frozenset[AgentId],
     goal: fm.TemporalFormula,
-    max_trees: int = 200_000,
 ) -> StrategyTree | None:
-    """First tree, in enumeration order, that wins the bounded goal."""
-    prefix = ctx.path.prefix(ctx.index)
-    for count, tree in enumerate(
-        enumerate_strategy_trees(
-            ctx.game, prefix.last_state, coalition, ctx.horizon
-        )
-    ):
-        if count >= max_trees:
+    """First tree, in enumeration order, that wins the bounded goal.
+
+    Walks the and-or search in the enumeration's breadth-first history
+    order and fixes each node to its smallest choice that still admits a
+    winning completion: every open node can still end TRUE, and at least one
+    node can end TRUE with an outcome.  Decisions at distinct histories are
+    independent, so the walk picks the lexicographically first winning
+    sequence of decisions.  Histories reached only through capacity-pruned
+    branches cannot change the outcomes and take the first tree's choices.
+    """
+    search = _Search(ctx, coalition, goal)
+    pivot = search.root[0]
+    if not search.start:
+        return None
+    if not search.members or search.is_leaf(search.root):
+        # The single tree of an empty coalition or of depth 0 decides nothing.
+        if search.rank(search.root, search.start) != 2:
             return None
-        outcomes = outcomes_bounded(ctx.game, prefix, tree, ctx.horizon)
-        if not outcomes:
-            continue
-        if all(
-            eval_temporal(ctx.at(prefix, ctx.index), goal, outcome)
-            is Verdict.TRUE
-            for outcome in outcomes
-        ):
-            return tree
-    return None
+        return StrategyTree(frozenset(coalition), pivot, ctx.horizon, {})
+
+    decisions: dict[History, tuple[ActionId, ...]] = {}
+    pruned: list[History] = []
+    # Open nodes with their ranks; the root's is not known yet.
+    queue = collections.deque([(search.root, search.start, 0)])
+    # Open nodes and fixed leaves that can end TRUE with an outcome.
+    twos = 0
+    while queue:
+        history, branches, own = queue.popleft()
+        twos -= own == 2
+        q = history[-1]
+        for choice in search.choices(q):
+            groups = search.expand(history, branches, choice)
+            ranks = search.child_ranks(history, groups)
+            if ranks is None:
+                continue
+            gained = sum(got == 2 for got in ranks.values())
+            if twos + gained > 0:
+                break
+        else:
+            return None  # only the root can lack a winning choice
+        decisions[history] = choice
+        twos += gained
+        if len(history) < ctx.horizon:
+            fixed = dict(zip(search.members, choice))
+            for target in _choice_targets(ctx.game, q, fixed):
+                child = history + (target,)
+                if target in groups:
+                    queue.append((child, groups[target], ranks[target]))
+                else:
+                    pruned.append(child)
+    decisions.update(
+        _first_choices(ctx.game, search.members, pruned, ctx.horizon)
+    )
+    return StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
 
 
 def find_falsifying_pair(
@@ -424,15 +540,18 @@ def find_falsifying_pair(
 ) -> tuple[StrategyTree, Path | None]:
     """A falsified tree with a FALSE outcome, or with none when pruned empty.
 
-    Meaningful when the strategic verdict is FALSE: then the first tree in
-    enumeration order is already falsified.
+    Meaningful when the strategic verdict is FALSE: then every tree is
+    falsified, so the first one in enumeration order is taken.
     """
-    tree = next(
-        enumerate_strategy_trees(
-            ctx.game, ctx.path.prefix(ctx.index).last_state, coalition, ctx.horizon
-        )
-    )
     prefix = ctx.path.prefix(ctx.index)
+    pivot = prefix.last_state
+    members = tuple(sorted(coalition))
+    tree = StrategyTree(
+        frozenset(coalition),
+        pivot,
+        ctx.horizon,
+        _first_choices(ctx.game, members, [(pivot,)], ctx.horizon),
+    )
     for outcome in sorted(
         outcomes_bounded(ctx.game, prefix, tree, ctx.horizon),
         key=lambda p: p.actions,

@@ -173,22 +173,26 @@ def _tree_text(game: GameStructure, tree: StrategyTree) -> list[str]:
 
 
 def _tree_json(game: GameStructure, tree: StrategyTree) -> dict:
-    def node(history) -> dict:
-        actions = {
-            game.agent_names[a]: game.action_names[x]
-            for a, x in zip(tree.agents, tree.decisions.get(history, ()))
+    root = (tree.pivot,)
+    nodes = {
+        history: {
+            "actions": {
+                game.agent_names[a]: game.action_names[x]
+                for a, x in zip(tree.agents, tree.decisions.get(history, ()))
+            },
+            "children": {},
         }
-        children = {}
-        for child in _tree_nodes(tree):
-            if len(child) == len(history) + 1 and child[: len(history)] == history:
-                children[game.state_names[child[-1]]] = node(child)
-        return {"actions": actions, "children": children}
-
+        for history in [root, *tree.decisions]
+    }
+    for history, node in nodes.items():
+        parent = nodes.get(history[:-1])
+        if parent is not None:
+            parent["children"][game.state_names[history[-1]]] = node
     return {
         "coalition": [game.agent_names[a] for a in tree.agents],
         "pivot": game.state_names[tree.pivot],
         "depth": tree.depth,
-        "root": node((tree.pivot,)),
+        "root": nodes[root],
     }
 
 
@@ -527,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GameSpecError, FormulaError, InputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # noqa: BLE001 - last-resort boundary

@@ -28,6 +28,11 @@ from .model import AgentId, CapacityId, GameStructure, PropId
 
 KEYWORDS_TEMPORAL = ("N", "U", "R", "F", "G")
 
+# Deepest nesting the parser accepts.  Parsing, evaluation and rendering
+# recurse once per level, so a deeper formula would exhaust the interpreter's
+# stack instead of being reported as malformed input.
+MAX_NESTING = 100
+
 
 class FormulaError(Exception):
     """Parse or binding failure, with the offset where it happened."""
@@ -166,12 +171,32 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser -------------------------------------------------------------------
 
 
+def _nested(parse):
+    """Count one nesting level for each active call of a parse step."""
+
+    def step(self):
+        self.nest(self.peek())
+        result = parse(self)
+        self.depth -= 1
+        return result
+
+    return step
+
+
 class _Parser:
     def __init__(self, text: str, game: GameStructure):
         self.tokens = _tokenize(text)
         self.game = game
         self.at = 0
+        self.depth = 0
         self.true_atom = Atom(game.true_prop)
+
+    def nest(self, token: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaError(
+                f"formula nests too deeply (limit {MAX_NESTING})", token.pos
+            )
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -216,6 +241,7 @@ class _Parser:
 
     # path formulas -------------------------------------------------------
 
+    @_nested
     def parse_phi(self) -> PathFormula:
         left = self.parse_or()
         if self.peek().kind == "->":
@@ -225,18 +251,23 @@ class _Parser:
 
     def parse_or(self) -> PathFormula:
         left = self.parse_and()
+        outer = self.depth
         while self.peek().kind == "|":
-            self.advance()
+            self.nest(self.advance())
             left = path_or(left, self.parse_and())
+        self.depth = outer
         return left
 
     def parse_and(self) -> PathFormula:
         left = self.parse_unary()
+        outer = self.depth
         while self.peek().kind == "&":
-            self.advance()
+            self.nest(self.advance())
             left = And(left, self.parse_unary())
+        self.depth = outer
         return left
 
+    @_nested
     def parse_unary(self) -> PathFormula:
         token = self.peek()
         if token.kind == "!":
@@ -313,20 +344,26 @@ class _Parser:
 
     # capacity formulas ---------------------------------------------------
 
+    @_nested
     def parse_capf(self) -> CapFormula:
         left = self.parse_cap_and()
+        outer = self.depth
         while self.peek().kind == "|":
-            self.advance()
+            self.nest(self.advance())
             left = cap_or(left, self.parse_cap_and())
+        self.depth = outer
         return left
 
     def parse_cap_and(self) -> CapFormula:
         left = self.parse_cap_unary()
+        outer = self.depth
         while self.peek().kind == "&":
-            self.advance()
+            self.nest(self.advance())
             left = CapAnd(left, self.parse_cap_unary())
+        self.depth = outer
         return left
 
+    @_nested
     def parse_cap_unary(self) -> CapFormula:
         token = self.peek()
         if token.kind == "!":

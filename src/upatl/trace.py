@@ -111,6 +111,47 @@ def compatible_assignments(
     return frozenset(itertools.product(*per_agent))
 
 
+# A branch is an outcome prefix with its per-agent compatible capacity sets.
+Branch = tuple[Path, tuple[frozenset[CapacityId], ...]]
+
+
+def extend_branches(
+    game: GameStructure,
+    state: StateId,
+    branches: list[Branch],
+    fixed: dict[AgentId, ActionId],
+) -> dict[StateId, list[Branch]]:
+    """Extend branches ending at ``state`` by one step under a coalition choice.
+
+    ``fixed`` prescribes an action to each coalition agent; the other agents
+    take every action of their protocols.  Each step narrows a branch's
+    capacity sets to the capacities licensing the action taken, a branch
+    whose set empties for some agent is dropped, and the survivors are
+    grouped by the state they reach.
+    """
+    steps = []
+    for joint in game.joint_actions(state):
+        if all(joint[a] == x for a, x in fixed.items()):
+            licensing = tuple(
+                frozenset(
+                    c
+                    for c in game.agent_capacities[a]
+                    if joint[a] in game.capacity_actions[c]
+                )
+                for a in game.agents
+            )
+            steps.append((joint, licensing, game.transitions[(state, joint)]))
+    groups: dict[StateId, list[Branch]] = {}
+    for path, caps in branches:
+        for joint, licensing, target in steps:
+            narrowed = tuple(cs & lic for cs, lic in zip(caps, licensing))
+            if all(narrowed):
+                groups.setdefault(target, []).append(
+                    (path.extend(joint, target), narrowed)
+                )
+    return groups
+
+
 def indistinguishable(
     game: GameStructure, left: Path, right: Path, agent: AgentId
 ) -> bool:
@@ -240,33 +281,23 @@ def outcomes_bounded(
         raise ValueError("invalid strategy tree: " + "; ".join(problems))
     agents = tree.agents
 
-    # Per-branch state: (path so far, per-agent compatible capacity sets).
     start_caps = tuple(
         compatible_capacities(game, path, a) for a in game.agents
     )
     if any(not caps for caps in start_caps):
         return frozenset()
-    branches = [(path, start_caps)]
-    for step in range(steps):
-        history_len = step + 1
-        next_branches = []
-        for branch, caps in branches:
-            history = branch.states[len(path.states) - 1 :]
-            assert len(history) == history_len
-            q = branch.last_state
-            prescribed = dict(zip(agents, tree.prescription(history)))
-            for joint in game.joint_actions(q):
-                if any(joint[a] != x for a, x in prescribed.items()):
-                    continue
-                new_caps = tuple(
-                    frozenset(
-                        c for c in caps[a] if joint[a] in game.capacity_actions[c]
-                    )
-                    for a in game.agents
-                )
-                if any(not cs for cs in new_caps):
-                    continue
-                target = game.transitions[(q, joint)]
-                next_branches.append((branch.extend(joint, target), new_caps))
-        branches = next_branches
-    return frozenset(branch for branch, _ in branches)
+    # Suffix history since the pivot -> the branches that reach it.
+    frontier: dict[History, list[Branch]] = {
+        (path.last_state,): [(path, start_caps)]
+    }
+    for _ in range(steps):
+        reached: dict[History, list[Branch]] = {}
+        for history, branches in frontier.items():
+            fixed = dict(zip(agents, tree.prescription(history)))
+            groups = extend_branches(game, history[-1], branches, fixed)
+            for target, group in groups.items():
+                reached[history + (target,)] = group
+        frontier = reached
+    return frozenset(
+        branch for branches in frontier.values() for branch, _ in branches
+    )

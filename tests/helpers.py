@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import random
 
+from upatl.checker import (
+    EvalContext,
+    Verdict,
+    enumerate_strategy_trees,
+    eval_temporal,
+)
 from upatl.formula import (
     And,
     Atom,
@@ -21,7 +27,7 @@ from upatl.formula import (
     Until,
 )
 from upatl.model import GameStructure
-from upatl.trace import Path
+from upatl.trace import Path, StrategyTree, outcomes_bounded
 
 
 def path_of(game: GameStructure, *alternating: str) -> Path:
@@ -37,6 +43,28 @@ def path_of(game: GameStructure, *alternating: str) -> Path:
         else:
             actions.append(tuple(game.action_names.index(x) for x in item))
     return Path(tuple(states), tuple(actions))
+
+
+def first_winning_tree(
+    ctx: EvalContext, coalition: frozenset[int], goal: TemporalFormula
+) -> StrategyTree | None:
+    """Reference witness: enumerate trees in order, return the first that wins.
+
+    A tree wins when its bounded outcome set is nonempty and the goal is TRUE
+    on every outcome.  Exponential in the horizon; for small cases only.
+    """
+    prefix = ctx.path.prefix(ctx.index)
+    base = ctx.at(prefix, ctx.index)
+    for tree in enumerate_strategy_trees(
+        ctx.game, prefix.last_state, coalition, ctx.horizon
+    ):
+        outcomes = outcomes_bounded(ctx.game, prefix, tree, ctx.horizon)
+        if outcomes and all(
+            eval_temporal(base, goal, outcome) is Verdict.TRUE
+            for outcome in outcomes
+        ):
+            return tree
+    return None
 
 
 def all_paths(game: GameStructure, start: int, steps: int) -> list[Path]:

@@ -21,11 +21,16 @@ from upatl.checker import (
     not3,
     or3,
 )
-from upatl.formula import Release, Until, parse_formula
-from upatl.oracle import brute_force_eval
+from upatl.formula import Release, Strat, Until, parse_formula
+from upatl.oracle import (
+    GeneratorParams,
+    brute_force_eval,
+    formula_templates,
+    generate_random_game,
+)
 from upatl.trace import Path, complete_assignments
 
-from helpers import all_paths, path_of
+from helpers import all_paths, first_winning_tree, path_of
 
 T, F, U = Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN
 
@@ -233,6 +238,33 @@ class TestStrategic:
         swing_l = g_hand.action_names.index("swingL")
         assert tree is not None
         assert tree.decisions[(0,)] == (swing_l,)
+
+    def test_witness_matches_reference_enumeration(self, g_hand, g_mix):
+        games = [g_hand, g_mix] + [
+            generate_random_game(
+                GeneratorParams(seed=seed, states=3 + seed % 3, agents=2 + seed % 2)
+            )
+            for seed in range(10)
+        ]
+        witnesses = 0
+        for game in games:
+            lam = canonical_assignment(game)
+            # The reference enumerates trees one by one; with three agents
+            # it takes seconds per game at k=3.
+            horizons = range(1, 4 if game.agent_count == 2 else 3)
+            for f in formula_templates(game):
+                if not isinstance(f, Strat):
+                    continue
+                for horizon in horizons:
+                    for q in game.states:
+                        ctx = EvalContext(game, Path((q,)), 1, lam, horizon)
+                        got = find_winning_strategy(ctx, f.coalition, f.goal)
+                        want = first_winning_tree(ctx, f.coalition, f.goal)
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert got.decisions == want.decisions
+                            witnesses += 1
+        assert witnesses > 100
 
     def test_falsifying_pair_on_false_verdict(self, g_hand):
         f = parse_formula("<<opp>> N (leftHit & rightHit)", g_hand)

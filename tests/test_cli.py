@@ -2,9 +2,14 @@ import json
 from pathlib import Path as FsPath
 
 import jsonschema
+import pytest
 
+from upatl import cli
+from upatl.checker import EvalContext, Verdict, canonical_assignment, eval_temporal
 from upatl.cli import main
+from upatl.formula import parse_formula
 from upatl.gamespec import canonical_form, load_game
+from upatl.trace import Path, outcomes_bounded
 
 GAMES_DIR = FsPath(__file__).parent.parent / "games"
 HAND = str(GAMES_DIR / "hand.game")
@@ -161,6 +166,48 @@ class TestCheck:
             assert json.loads(out_json)["verdict"] == out_text.splitlines()[0]
 
 
+def recheck(game_file, formula, horizon, record):
+    """The outcomes of the record's certificate with the goal's verdict on
+    each, recomputed through ``outcomes_bounded`` and ``eval_temporal``."""
+    game = load_game(open(game_file).read())
+    goal = parse_formula(formula, game).goal
+    cert = record["witness"] or record["falsifying"]["strategy"]
+    tree = cli._tree_from_json(game, cert)
+    start = Path((game.state_names.index(record["state"]),))
+    ctx = EvalContext(game, start, 1, canonical_assignment(game), horizon)
+    return [
+        (cli._path_json(game, p), eval_temporal(ctx, goal, p))
+        for p in outcomes_bounded(game, start, tree, horizon)
+    ]
+
+
+class TestDeepCertificates:
+    @pytest.mark.parametrize(
+        "game_file, formula",
+        [(HAND, "<<obs>> N leftHit"), (MIX, "<<obs>> N K[obs](opp=righty)")],
+    )
+    def test_false_at_k10_has_falsifier(self, capsys, game_file, formula):
+        code, out, _ = run(
+            capsys, "check", game_file, "-f", formula, "-k", "10", "--format", "json"
+        )
+        assert code == 1
+        record = json.loads(out)
+        outcome = record["falsifying"]["outcome"]
+        assert (outcome, Verdict.FALSE) in recheck(game_file, formula, 10, record)
+
+    def test_true_at_k14_has_witness(self, capsys):
+        formula = "<<opp>> N rightHit"
+        code, out, _ = run(
+            capsys, "check", MIX, "-f", formula, "-k", "14", "--format", "json"
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["witness"] is not None
+        checked = recheck(MIX, formula, 14, record)
+        assert checked
+        assert all(verdict is Verdict.TRUE for _, verdict in checked)
+
+
 class TestValidate:
     def test_clean_game(self, capsys):
         code, out, _ = run(capsys, "validate", HAND)
@@ -315,6 +362,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", HAND, "-f", "N start")
         assert code == 65
         assert "outside a strategic" in err
+
+    def test_deeply_nested_formula(self, capsys):
+        code, _, err = run(capsys, "check", HAND, "-f", "!" * 5000 + "start")
+        assert code == 65
+        assert "nests too deeply" in err and "offset" in err
+
+    def test_engine_value_error_is_internal(self, capsys, monkeypatch):
+        def broken(ctx, f):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(cli, "eval_path_formula", broken)
+        code, _, err = run(capsys, "check", HAND, "-f", "start")
+        assert code == 70
+        assert "internal error" in err and "engine fault" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "nope.game", "-f", "start")
