@@ -9,10 +9,12 @@ horizon with strong-Kleene combination.
 Strategic operators quantify existentially over finite-depth decision trees
 and universally over their capacity-compatible outcomes.  The evaluator does
 not materialize the trees: decisions at distinct suffix histories are
-independent, so it searches the and-or structure per history node, carrying
-the set of tree-aggregate results some tree can achieve.  Witnesses come
-from the same search; ``enumerate_strategy_trees`` materializes trees in
-the canonical order that witnesses and falsifiers are first in.
+independent, so it searches the and-or structure per history node and ranks
+each node by the best subtree below it under a leaf rule.  One rule asks
+for a winning tree, the other for a tree that escapes falsification; the
+verdict takes at most one pass of each, and the witness is a greedy walk
+over the first.  ``enumerate_strategy_trees`` materializes trees in the
+canonical order that witnesses and falsifiers are first in.
 
 Each nested strategic operator is re-anchored at the current prefix with the
 full configured horizon, so nesting does not starve the budget.
@@ -24,7 +26,7 @@ import collections
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import formula as fm
 from .model import ActionId, AgentId, GameStructure, StateId
@@ -202,22 +204,6 @@ def eval_temporal(
 
 # -- strategic operator -------------------------------------------------------
 
-# A tree-aggregate result: (produced at least one outcome, verdict over the
-# outcomes, every outcome FALSE, some FALSE outcome is unprunable).  An empty
-# aggregate is normalized to (False, TRUE, True, False).
-_Result = tuple[bool, Verdict, bool, bool]
-
-_EMPTY_RESULT: _Result = (False, Verdict.TRUE, True, False)
-
-
-def _combine(left: set[_Result], right: set[_Result]) -> set[_Result]:
-    return {
-        (ne_l or ne_r, and3(v_l, v_r), af_l and af_r, st_l or st_r)
-        for ne_l, v_l, af_l, st_l in left
-        for ne_r, v_r, af_r, st_r in right
-    }
-
-
 def unprunable_capacities(
     game: GameStructure, coalition: frozenset[AgentId]
 ) -> tuple[frozenset[int], ...]:
@@ -247,6 +233,9 @@ def unprunable_capacities(
         else:
             safe.append(game.agent_capacities[a])
     return tuple(safe)
+
+
+_Leaf = Callable[[list[Branch]], int]
 
 
 class _Search:
@@ -279,7 +268,8 @@ class _Search:
         self.start: list[Branch] = (
             [(prefix, start_caps)] if all(start_caps) else []
         )
-        # Outcome -> goal verdict, for ``rank``: the witness walk searches
+        # Outcome -> goal verdict, shared by both leaf rules: the verdict's
+        # two passes reach the same leaves, and the witness walk searches
         # below each node it fixes again, so outcomes recur.
         self.verdicts: dict[Path, Verdict] = {}
 
@@ -301,48 +291,41 @@ class _Search:
             self.game, history[-1], branches, dict(zip(self.members, choice))
         )
 
-    def results(self, history: History, branches: list[Branch]) -> set[_Result]:
-        """The tree-aggregate results some subtree below the node achieves."""
-        if self.is_leaf(history):
-            verdict = Verdict.TRUE
-            all_false = True
-            stable_false = False
-            for branch, caps in branches:
-                got = eval_temporal(self.goal_ctx, self.goal, branch)
-                verdict = and3(verdict, got)
-                if got is Verdict.FALSE:
-                    if all(cs & self.safe_caps[a] for a, cs in enumerate(caps)):
-                        stable_false = True
-                else:
-                    all_false = False
-            return {(True, verdict, all_false, stable_false)}
-        achievable: set[_Result] = set()
-        for choice in self.choices(history[-1]):
-            groups = self.expand(history, branches, choice)
-            combined: set[_Result] = {_EMPTY_RESULT}
-            for target in sorted(groups):
-                combined = _combine(
-                    combined, self.results(history + (target,), groups[target])
-                )
-            achievable |= combined
-        return achievable
+    def verdict(self, outcome: Path) -> Verdict:
+        if outcome not in self.verdicts:
+            self.verdicts[outcome] = eval_temporal(
+                self.goal_ctx, self.goal, outcome
+            )
+        return self.verdicts[outcome]
 
-    def rank(self, history: History, branches: list[Branch]) -> int:
-        """2 if some subtree below the node ends TRUE with an outcome, else
-        1 if some ends TRUE without one, else 0; stops at the first 2."""
+    def won(self, branches: list[Branch]) -> int:
+        """Leaf rule for a winning tree: every outcome TRUE."""
+        for branch, _ in branches:
+            if self.verdict(branch) is not Verdict.TRUE:
+                return 0
+        return 2
+
+    def unfalsified(self, branches: list[Branch]) -> int:
+        """Leaf rule for a tree that escapes falsification: no FALSE outcome
+        is unprunable, and 2 only if some outcome is not FALSE."""
+        rank = 1
+        for branch, caps in branches:
+            if self.verdict(branch) is not Verdict.FALSE:
+                rank = 2
+            elif all(cs & self.safe_caps[a] for a, cs in enumerate(caps)):
+                return 0
+        return rank
+
+    def rank(self, history: History, branches: list[Branch], leaf: _Leaf) -> int:
+        """2 if some subtree below the node has every leaf ranked at least 1
+        by ``leaf`` and some leaf ranked 2, else 1 if some has every leaf
+        ranked at least 1 (or no leaf), else 0; stops at the first 2."""
         if self.is_leaf(history):
-            for branch, _ in branches:
-                if branch not in self.verdicts:
-                    self.verdicts[branch] = eval_temporal(
-                        self.goal_ctx, self.goal, branch
-                    )
-                if self.verdicts[branch] is not Verdict.TRUE:
-                    return 0
-            return 2
+            return leaf(branches)
         best = 0
         for choice in self.choices(history[-1]):
             groups = self.expand(history, branches, choice)
-            ranks = self.child_ranks(history, groups)
+            ranks = self.child_ranks(history, groups, leaf)
             if ranks is not None:
                 if 2 in ranks.values():
                     return 2
@@ -350,12 +333,12 @@ class _Search:
         return best
 
     def child_ranks(
-        self, history: History, groups: dict[StateId, list[Branch]]
+        self, history: History, groups: dict[StateId, list[Branch]], leaf: _Leaf
     ) -> dict[StateId, int] | None:
-        """Each child's rank, or None as soon as one cannot end TRUE."""
+        """Each child's rank, or None as soon as one ranks 0."""
         ranks = {}
         for target in sorted(groups):
-            got = self.rank(history + (target,), groups[target])
+            got = self.rank(history + (target,), groups[target], leaf)
             if got == 0:
                 return None
             ranks[target] = got
@@ -376,14 +359,22 @@ def eval_strategic(
     prunable may be rescued at a larger horizon by making those branches
     capacity-incompatible, so it yields UNKNOWN instead; this keeps TRUE and
     FALSE sound for the unbounded semantics and monotone in the horizon.
+
+    Both questions are one rank search with different leaf rules.  A tree
+    wins iff every leaf ranks at least 1 under ``won`` and some leaf ranks 2
+    (every outcome TRUE, and at least one outcome).  A tree escapes
+    falsification iff the same holds under ``unfalsified`` (no unprunable
+    FALSE outcome, and some outcome not FALSE).  Decisions at distinct
+    histories are independent, so a tree with that property exists iff the
+    root ranks 2, where a node takes the best choice and a choice needs all
+    of its children at least 1 and one of them at 2.
     """
     search = _Search(ctx, coalition, goal)
     if not search.start:
         return Verdict.FALSE
-    achievable = search.results(search.root, search.start)
-    if any(ne and v is Verdict.TRUE for ne, v, _, _ in achievable):
+    if search.rank(search.root, search.start, search.won) == 2:
         return Verdict.TRUE
-    if all(af or st for _, _, af, st in achievable):
+    if search.rank(search.root, search.start, search.unfalsified) != 2:
         return Verdict.FALSE
     return Verdict.UNKNOWN
 
@@ -421,30 +412,29 @@ def enumerate_strategy_trees(
     if not members or depth == 0:
         yield StrategyTree(frozenset(coalition), pivot, depth, {})
         return
-
-    def expand(
-        pending: tuple[History, ...],
-        decided: tuple[tuple[History, tuple[ActionId, ...]], ...],
-    ) -> Iterator[StrategyTree]:
+    # Depth-first over the decision sequence; each frame holds the histories
+    # still to decide, in breadth-first order, and the decisions so far.
+    # Choices are pushed largest first so that the smallest pops first.
+    stack: list[tuple[tuple[History, ...], tuple]] = [(((pivot,),), ())]
+    while stack:
+        pending, decided = stack.pop()
         if not pending:
             yield StrategyTree(
                 frozenset(coalition), pivot, depth, dict(decided)
             )
-            return
+            continue
         history = pending[0]
         q = history[-1]
         for choice in itertools.product(
-            *(sorted(game.protocols[a][q]) for a in members)
+            *(sorted(game.protocols[a][q], reverse=True) for a in members)
         ):
             children: tuple[History, ...] = ()
             if len(history) < depth:
                 targets = _choice_targets(game, q, dict(zip(members, choice)))
                 children = tuple(history + (t,) for t in targets)
-            yield from expand(
-                pending[1:] + children, decided + ((history, choice),)
+            stack.append(
+                (pending[1:] + children, decided + ((history, choice),))
             )
-
-    yield from expand(((pivot,),), ())
 
 
 def _first_choices(
@@ -493,7 +483,7 @@ def find_winning_strategy(
         return None
     if not search.members or search.is_leaf(search.root):
         # The single tree of an empty coalition or of depth 0 decides nothing.
-        if search.rank(search.root, search.start) != 2:
+        if search.rank(search.root, search.start, search.won) != 2:
             return None
         return StrategyTree(frozenset(coalition), pivot, ctx.horizon, {})
 
@@ -509,7 +499,7 @@ def find_winning_strategy(
         q = history[-1]
         for choice in search.choices(q):
             groups = search.expand(history, branches, choice)
-            ranks = search.child_ranks(history, groups)
+            ranks = search.child_ranks(history, groups, search.won)
             if ranks is None:
                 continue
             gained = sum(got == 2 for got in ranks.values())

@@ -33,7 +33,6 @@ from .gamespec import (
     render_game,
 )
 from .model import GameStructure
-from .oracle import GeneratorParams, generate_random_game
 from .trace import (
     Path,
     StrategyTree,
@@ -209,7 +208,14 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
     decisions: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def walk(node: dict, history: tuple[int, ...]) -> None:
+        where = " ".join(game.state_names[q] for q in history)
+        if not isinstance(node, dict):
+            raise InputError(f"strategy node at {where} is not an object")
         actions = node.get("actions", {})
+        children = node.get("children", {})
+        for key, value in (("actions", actions), ("children", children)):
+            if not isinstance(value, dict):
+                raise InputError(f"{key} of strategy node at {where} is not an object")
         if members:
             try:
                 decisions[history] = tuple(
@@ -218,10 +224,9 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
                 )
             except (KeyError, ValueError) as err:
                 raise InputError(
-                    f"malformed strategy decision at "
-                    f"{' '.join(game.state_names[q] for q in history)}: {err}"
+                    f"malformed strategy decision at {where}: {err}"
                 ) from None
-        for state_name, child in node.get("children", {}).items():
+        for state_name, child in children.items():
             try:
                 child_state = game.state_names.index(state_name)
             except ValueError:
@@ -384,10 +389,11 @@ def _cmd_outcomes(args) -> int:
     game = _read_game(args.game)
     path = parse_path_literal(game, args.path)
     try:
-        data = json.load(open(args.strategy, encoding="utf-8"))
+        with open(args.strategy, encoding="utf-8") as handle:
+            data = json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {args.strategy}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     tree = _tree_from_json(game, data)
     try:
@@ -428,6 +434,9 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # Imported here so that the other commands do not load the oracle.
+    from .oracle import GeneratorParams, generate_random_game
+
     try:
         params = GeneratorParams(
             seed=args.seed,

@@ -6,6 +6,7 @@ import pytest
 from upatl.checker import (
     EvalContext,
     Verdict,
+    _first_choices,
     and3,
     canonical_assignment,
     check_state,
@@ -184,6 +185,11 @@ class TestStrategyTreeEnumeration:
         opp = g_hand.agent_names.index("opp")
         trees = list(enumerate_strategy_trees(g_hand, 0, frozenset({opp}), 2))
         assert len(trees) == 3 + 1 + 1
+
+    def test_deep_tree_does_not_exhaust_the_call_stack(self, g_hand):
+        # At depth 10 the observer's single tree decides 1,364 histories.
+        first = next(enumerate_strategy_trees(g_hand, 0, frozenset({0}), 10))
+        assert first.decisions == _first_choices(g_hand, (0,), [(0,)], 10)
 
 
 class TestStrategic:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path as FsPath
 
 import jsonschema
@@ -348,6 +350,15 @@ class TestFmtAndGen:
         _, out2, _ = run(capsys, "gen", "--seed", "11")
         assert out1 == out2
 
+    def test_importing_the_cli_leaves_the_oracle_unloaded(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, upatl.cli; print('upatl.oracle' in sys.modules)"],
+            cwd=FsPath(cli.__file__).parent.parent,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -376,6 +387,36 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", HAND, "-f", "start")
         assert code == 70
         assert "internal error" in err and "engine fault" in err
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            [],
+            {"actions": [], "children": {}},
+            {"actions": {"opp": "serve"}, "children": []},
+            {"actions": {"opp": "serve"}, "children": {"s0": "serve"}},
+        ],
+    )
+    def test_strategy_node_not_an_object(self, capsys, tmp_path, root):
+        target = tmp_path / "bad.json"
+        target.write_text(
+            json.dumps({"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": root})
+        )
+        code, _, err = run(
+            capsys, "outcomes", HAND, "-p", "s0", "--strategy", str(target), "-k", "1"
+        )
+        assert code == 65
+        assert "is not an object" in err
+
+    def test_strategy_file_nested_too_deeply(self, capsys, tmp_path):
+        target = tmp_path / "deep.json"
+        nested = '{"children": {"s0": ' * 5000 + "{}" + "}}" * 5000
+        target.write_text('{"root": ' + nested + "}")
+        code, _, err = run(
+            capsys, "outcomes", HAND, "-p", "s0", "--strategy", str(target), "-k", "1"
+        )
+        assert code == 65
+        assert "malformed strategy file" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "nope.game", "-f", "start")
