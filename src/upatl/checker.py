@@ -18,6 +18,48 @@ canonical order that witnesses and falsifiers are first in.
 
 Each nested strategic operator is re-anchored at the current prefix with the
 full configured horizon, so nesting does not starve the budget.
+
+Evaluation runs over abstract prefix states.  The abstract state of a prefix
+is its last state, each agent's compatible capacity set, and, for each agent
+named in a ``K[...]`` subformula, a belief set: the tuples of per-agent
+compatible capacity sets of the paths that agent cannot tell from the
+prefix.  Tuples with an empty set are left out; they hold any knowledge
+vacuously, and do so forever, since compatible sets only shrink.
+
+Why equal abstract states give equal verdicts.  An atom reads the last
+state.  ``K[a]`` quantifies over the compatible assignments of the members
+of the prefix's class, which are the products of the tuples in the belief
+set.  Extending the prefix by a joint action ``j`` to a state ``t`` narrows
+each compatible set to the capacities licensing that agent's action in
+``j``.  The members of the extension's class are the members of the old
+class extended by the joint actions ``j'`` with ``j'[a] == j[a]`` that also
+lead to ``t``, so the new belief set depends only on the old one and on
+(last state, ``j[a]``, ``t``).  By induction, the abstract state of every
+extension is a function of the prefix's abstract state and the steps taken.
+A nested ``<<...>>`` explores extensions only, starting from the compatible
+sets, so it too depends on the prefix only through its abstract state.
+Each state subformula is therefore memoized on (formula node, abstract
+state), and each step on (abstract state, joint action, target).
+
+Goals progress forward.  With FALSE < UNKNOWN < TRUE, strong-Kleene ``&``
+and ``|`` are min and max, a distributive lattice.  The bounded until unrolls
+backward as ``u_j = r_j | (l_j & u_j+1)``, with UNKNOWN past the horizon.  A
+progress pair ``(a, b)`` stands for ``a | (b & u_j)``; distributivity gives
+``a | (b & u_j) = (a | (b & r_j)) | ((b & l_j) & u_j+1)``, so reading position
+``j`` maps ``(a, b)`` to ``(a | (b & r_j), b & l_j)``.  Starting from
+``(FALSE, TRUE)`` and ending with ``a | (b & UNKNOWN)`` this is exactly the
+backward value.  Release is the dual ``u_j = r_j & (l_j | u_j+1)``, and maps
+``(a, b)`` to ``(a | (b & r_j & l_j), b & r_j)``.  Once ``a`` is TRUE or
+``b`` FALSE the value is decided, and ``(a, FALSE)`` stands for it; an
+undecided pair ends UNKNOWN.  Next waits for its first step.
+
+Why equal nodes get equal ranks.  A search node's rank depends on its depth
+and on the set of its branches, each an (abstract state, progress) pair: the
+leaf rules read only the progress and the compatible sets, the choices only
+the last state, and the expansion of a branch is a function of the pair.
+Duplicates do not matter, since the leaf rules ask "every" and "some".  So
+ranks are memoized on (leaf rule, depth, branch set).  Every memo belongs to
+one ``Evaluator``, made per top-level call; nothing outlives it.
 """
 
 from __future__ import annotations
@@ -25,21 +67,16 @@ from __future__ import annotations
 import collections
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import formula as fm
-from .model import ActionId, AgentId, GameStructure, StateId
+from .model import ActionId, AgentId, CapacityId, GameStructure, StateId
 from .trace import (
-    Branch,
     CapacityAssignment,
     History,
     Path,
     StrategyTree,
-    compatible_assignments,
-    compatible_capacities,
-    extend_branches,
-    indistinguishability_class,
     outcomes_bounded,
 )
 
@@ -81,7 +118,10 @@ class EvalContext:
     ``path`` is the absolute finite prefix from the evaluation origin,
     ``index`` the 1-based position in its state trace, ``assignment`` the
     ambient complete capacity assignment, and ``horizon`` the number of
-    extension steps each strategic operator may explore.
+    extension steps each strategic operator may explore.  ``evaluator``, if
+    set, holds the memos that calls with this context share (the CLI shares
+    one between a verdict and its certificate); without it, every call makes
+    its own.
     """
 
     game: GameStructure
@@ -89,6 +129,7 @@ class EvalContext:
     index: int
     assignment: CapacityAssignment
     horizon: int
+    evaluator: Evaluator | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.index <= len(self.path.states):
@@ -97,9 +138,16 @@ class EvalContext:
             raise ValueError("horizon must be nonnegative")
         if len(self.assignment) != self.game.agent_count:
             raise ValueError("ambient capacity assignment must be complete")
+        if self.evaluator is not None and (
+            self.evaluator.game is not self.game
+            or self.evaluator.horizon != self.horizon
+        ):
+            raise ValueError("evaluator is for another game or horizon")
 
     def at(self, path: Path, index: int) -> "EvalContext":
-        return EvalContext(self.game, path, index, self.assignment, self.horizon)
+        return EvalContext(
+            self.game, path, index, self.assignment, self.horizon, self.evaluator
+        )
 
 
 # -- capacity and knowledge ---------------------------------------------------
@@ -130,37 +178,239 @@ def eval_knowledge(
     and every capacity assignment compatible with it.  Members whose
     compatible set is empty hold vacuously.
     """
-    if not 1 <= index <= len(path.states):
-        raise ValueError("index out of range for the path")
-    prefix = path.prefix(index)
-    for other in indistinguishability_class(game, prefix, agent):
-        for assignment in compatible_assignments(game, other):
-            if not eval_cap_formula(assignment, body):
-                return False
-    return True
+    know = fm.Know(agent, body)
+    evaluator = Evaluator(game, 0, know)
+    return evaluator.value(know, evaluator.fold(path, index)) is Verdict.TRUE
+
+
+# -- abstract prefix states ---------------------------------------------------
+
+Caps = tuple[frozenset[CapacityId], ...]  # one compatible set per agent
+# Goal progress: None for a Next goal before its first step, else a pair
+# (a, b) standing for ``a | (b & rest)``; decided iff b is FALSE.
+Progress = tuple[Verdict, Verdict] | None
+_UNREAD = (Verdict.FALSE, Verdict.TRUE)
+_WON = (Verdict.TRUE, Verdict.FALSE)
+
+
+def _narrow(caps: Caps, licensing: Caps) -> Caps:
+    return tuple(cs & lic for cs, lic in zip(caps, licensing))
+
+
+def _final(progress: Progress) -> Verdict:
+    """The goal's verdict once the horizon is reached."""
+    if progress is None or progress[1] is not Verdict.FALSE:
+        return Verdict.UNKNOWN
+    return progress[0]
+
+
+def _knowers(f) -> set[AgentId]:
+    """Agents named in a ``K[...]`` subformula of ``f``."""
+    found = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, fm.Know):
+            found.add(g.agent)
+        elif isinstance(g, (fm.Not, fm.Next)):
+            stack.append(g.operand)
+        elif isinstance(g, (fm.And, fm.Until, fm.Release)):
+            stack += [g.left, g.right]
+        elif isinstance(g, fm.Strat):
+            stack.append(g.goal)
+    return found
+
+
+class _State:
+    """An abstract prefix state, interned by its evaluator, so that identity
+    is equality and memo keys hash fast."""
+
+    __slots__ = ("q", "caps", "beliefs", "alive")
+
+    def __init__(self, q: StateId, caps: Caps, beliefs: tuple[frozenset[Caps], ...]):
+        self.q = q
+        self.caps = caps
+        self.beliefs = beliefs  # one per knower, in knower order
+        self.alive = all(caps)  # some complete assignment is compatible
+
+
+class Evaluator:
+    """The memos of one top-level call: abstract states and their steps,
+    subformula verdicts (keyed by formula node identity), and the ranks of
+    each strategic operator's search.
+
+    ``formula`` must contain every formula evaluated with this evaluator: its
+    ``K[...]`` agents are the ones whose belief sets the states carry, and
+    holding it keeps the node identities in the memo keys valid.  The memos
+    hold no reference back to the evaluator, so that it is freed as soon as
+    its call ends, without waiting for the cycle collector.
+    """
+
+    def __init__(self, game: GameStructure, horizon: int, formula) -> None:
+        self.game = game
+        self.horizon = horizon
+        self.formula = formula
+        self.knowers = tuple(sorted(_knowers(formula)))
+        self.interned: dict[tuple, _State] = {}
+        self.steps: dict[tuple, _State] = {}
+        self.peers: dict[tuple, list[Caps]] = {}
+        self.values: dict[tuple, Verdict] = {}
+        self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
+        self.options: dict[tuple, list] = {}  # by (coalition members, state)
+
+    def _intern(self, q: StateId, caps: Caps, beliefs: tuple) -> _State:
+        key = (q, caps, beliefs)
+        state = self.interned.get(key)
+        if state is None:
+            state = self.interned[key] = _State(q, caps, beliefs)
+        return state
+
+    def fold(self, path: Path, index: int) -> _State:
+        """The abstract state of ``path.prefix(index)``."""
+        if not 1 <= index <= len(path.states):
+            raise ValueError("index out of range for the path")
+        caps = self.game.agent_capacities
+        whole = frozenset([caps]) if all(caps) else frozenset()
+        state = self._intern(path.states[0], caps, (whole,) * len(self.knowers))
+        for joint, target in zip(path.actions[: index - 1], path.states[1:index]):
+            state = self.step(state, joint, target)
+        return state
+
+    def step(self, state: _State, joint: tuple, target: StateId) -> _State:
+        """The abstract state after ``joint`` leads from ``state`` to ``target``."""
+        key = (state, joint, target)
+        after = self.steps.get(key)
+        if after is None:
+            beliefs = tuple(
+                self._believe(state.q, a, joint[a], target, belief)
+                for a, belief in zip(self.knowers, state.beliefs)
+            )
+            caps = _narrow(state.caps, self.game.licensing(joint))
+            after = self.steps[key] = self._intern(target, caps, beliefs)
+        return after
+
+    def _believe(self, q, agent, action, target, belief) -> frozenset[Caps]:
+        """Belief set update: every member extended by every joint action the
+        agent cannot tell from its own, narrowed, and dropped if emptied."""
+        key = (q, agent, action, target)
+        peers = self.peers.get(key)
+        if peers is None:
+            peers = self.peers[key] = [
+                licensing
+                for joint, licensing, reached in self.game.moves(q)
+                if joint[agent] == action and reached == target
+            ]
+        out = set()
+        for member in belief:
+            for licensing in peers:
+                narrowed = _narrow(member, licensing)
+                if all(narrowed):
+                    out.add(narrowed)
+        return frozenset(out)
+
+    def value(self, f: fm.PathFormula, state: _State) -> Verdict:
+        key = (id(f), state)
+        got = self.values.get(key)
+        if got is None:
+            got = self.values[key] = self._evaluate(f, state)
+        return got
+
+    def _evaluate(self, f: fm.PathFormula, state: _State) -> Verdict:
+        if isinstance(f, fm.Atom):
+            return lift(f.prop in self.game.labels[state.q])
+        if isinstance(f, fm.Know):
+            belief = state.beliefs[self.knowers.index(f.agent)]
+            return lift(
+                all(
+                    eval_cap_formula(assignment, f.body)
+                    for member in belief
+                    for assignment in itertools.product(*member)
+                )
+            )
+        if isinstance(f, fm.Not):
+            return not3(self.value(f.operand, state))
+        if isinstance(f, fm.And):
+            left = self.value(f.left, state)
+            if left is Verdict.FALSE:
+                return Verdict.FALSE
+            return and3(left, self.value(f.right, state))
+        if isinstance(f, fm.Strat):
+            return self.search(f.coalition, f.goal).verdict(state)
+        raise TypeError(f"not a path formula: {f!r}")
+
+    def search(
+        self, coalition: frozenset[AgentId], goal: fm.TemporalFormula
+    ) -> _Search:
+        """The search of ``<<coalition>> goal``, with the ranks found by
+        every earlier search of it."""
+        ranks = self.ranks.setdefault((coalition, id(goal)), {})
+        return _Search(self, coalition, goal, ranks)
+
+    # Goal progress, read one position at a time (module docstring).
+
+    def begin(self, goal: fm.TemporalFormula, state: _State) -> Progress:
+        """Progress after reading the first position, at ``state``."""
+        if isinstance(goal, fm.Next):
+            return None
+        if not isinstance(goal, (fm.Until, fm.Release)):
+            raise TypeError(f"not a temporal formula: {goal!r}")
+        return self.advance(goal, _UNREAD, state)
+
+    def advance(
+        self, goal: fm.TemporalFormula, progress: Progress, state: _State
+    ) -> Progress:
+        """Progress after reading one more position, at ``state``."""
+        if progress is None:
+            return (self.value(goal.operand, state), Verdict.FALSE)
+        a, b = progress
+        if b is Verdict.FALSE:
+            return progress
+        if isinstance(goal, fm.Until):
+            a = or3(a, and3(b, self.value(goal.right, state)))
+            if a is Verdict.TRUE:
+                return _WON
+            return (a, and3(b, self.value(goal.left, state)))
+        b = and3(b, self.value(goal.right, state))
+        if b is Verdict.FALSE:
+            return (a, b)
+        a = or3(a, and3(b, self.value(goal.left, state)))
+        return _WON if a is Verdict.TRUE else (a, b)
+
+    def outcome_verdict(
+        self, goal: fm.TemporalFormula, outcome: Path, index: int
+    ) -> Verdict:
+        """The goal on ``outcome`` from position ``index`` to its last."""
+        state = self.fold(outcome, index)
+        progress = self.begin(goal, state)
+        for joint, target in zip(
+            outcome.actions[index - 1 :], outcome.states[index:]
+        ):
+            state = self.step(state, joint, target)
+            progress = self.advance(goal, progress, state)
+        return _final(progress)
+
+
+def _evaluator(ctx: EvalContext, formula) -> Evaluator:
+    """The context's evaluator, or a fresh one for this call."""
+    if ctx.evaluator is not None:
+        return ctx.evaluator
+    return Evaluator(ctx.game, ctx.horizon, formula)
 
 
 # -- path formulas ------------------------------------------------------------
 
 
 def eval_path_formula(ctx: EvalContext, f: fm.PathFormula) -> Verdict:
-    if isinstance(f, fm.Atom):
-        state = ctx.path.states[ctx.index - 1]
-        return lift(f.prop in ctx.game.labels[state])
+    """The verdict of ``f`` at ``ctx``; a top-level ``K`` is answered by
+    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``."""
     if isinstance(f, fm.Know):
         return lift(
             eval_knowledge(ctx.game, ctx.path, ctx.index, f.agent, f.body)
         )
-    if isinstance(f, fm.Not):
-        return not3(eval_path_formula(ctx, f.operand))
-    if isinstance(f, fm.And):
-        left = eval_path_formula(ctx, f.left)
-        if left is Verdict.FALSE:
-            return Verdict.FALSE
-        return and3(left, eval_path_formula(ctx, f.right))
     if isinstance(f, fm.Strat):
         return eval_strategic(ctx, f.coalition, f.goal)
-    raise TypeError(f"not a path formula: {f!r}")
+    evaluator = _evaluator(ctx, f)
+    return evaluator.value(f, evaluator.fold(ctx.path, ctx.index))
 
 
 def eval_temporal(
@@ -174,32 +424,9 @@ def eval_temporal(
     release that was maintained to the bound without being released stays
     undecided.
     """
-    i, k = ctx.index, ctx.horizon
-    if len(outcome.states) != i + k:
+    if len(outcome.states) != ctx.index + ctx.horizon:
         raise ValueError("outcome does not match the horizon")
-    if isinstance(goal, fm.Next):
-        if k < 1:
-            return Verdict.UNKNOWN
-        return eval_path_formula(ctx.at(outcome, i + 1), goal.operand)
-    if isinstance(goal, fm.Until):
-        result = Verdict.UNKNOWN
-        for j in range(i + k, i - 1, -1):
-            here = ctx.at(outcome, j)
-            result = or3(
-                eval_path_formula(here, goal.right),
-                and3(eval_path_formula(here, goal.left), result),
-            )
-        return result
-    if isinstance(goal, fm.Release):
-        result = Verdict.UNKNOWN
-        for j in range(i + k, i - 1, -1):
-            here = ctx.at(outcome, j)
-            result = and3(
-                eval_path_formula(here, goal.right),
-                or3(eval_path_formula(here, goal.left), result),
-            )
-        return result
-    raise TypeError(f"not a temporal formula: {goal!r}")
+    return _evaluator(ctx, goal).outcome_verdict(goal, outcome, ctx.index)
 
 
 # -- strategic operator -------------------------------------------------------
@@ -235,110 +462,139 @@ def unprunable_capacities(
     return tuple(safe)
 
 
-_Leaf = Callable[[list[Branch]], int]
+# A search branch: an outcome prefix's abstract state and goal progress.
+_Branch = tuple[_State, Progress]
+_Leaf = Callable[[frozenset[_Branch]], int]
 
 
 class _Search:
-    """The and-or search of one strategic operator at one prefix.
+    """The and-or search of one strategic operator, from any prefix.
 
-    A node is a suffix history since the pivot together with the branches
-    that reach it; the coalition fixes one choice per node, and a choice
-    leads to one child node per target state of the surviving branches.
+    A node is a suffix history since the pivot; below it only its depth and
+    its branches matter, the (abstract state, progress) pairs of the outcome
+    prefixes that reach it.  The coalition fixes one choice per node, and a
+    choice leads to one child node per target state of the surviving
+    branches.
     """
 
     def __init__(
         self,
-        ctx: EvalContext,
+        evaluator: Evaluator,
         coalition: frozenset[AgentId],
         goal: fm.TemporalFormula,
+        ranks: dict[tuple, int],
     ):
-        game = ctx.game
-        prefix = ctx.path.prefix(ctx.index)
-        self.game = game
+        self.evaluator = evaluator
         self.goal = goal
-        self.goal_ctx = ctx.at(prefix, ctx.index)
         self.members = tuple(sorted(coalition))
-        self.horizon = ctx.horizon
-        self.safe_caps = unprunable_capacities(game, coalition)
-        start_caps = tuple(
-            compatible_capacities(game, prefix, a) for a in game.agents
-        )
-        self.root: History = (prefix.last_state,)
-        # No compatible assignment: every tree has an empty outcome set.
-        self.start: list[Branch] = (
-            [(prefix, start_caps)] if all(start_caps) else []
-        )
-        # Outcome -> goal verdict, shared by both leaf rules: the verdict's
-        # two passes reach the same leaves, and the witness walk searches
-        # below each node it fixes again, so outcomes recur.
-        self.verdicts: dict[Path, Verdict] = {}
+        self.horizon = evaluator.horizon
+        self.safe_caps = unprunable_capacities(evaluator.game, coalition)
+        self.ranks = ranks  # by (leaf rule name, depth, branches)
 
-    def is_leaf(self, history: History) -> bool:
-        return len(history) - 1 == self.horizon
+    def start(self, state: _State) -> frozenset[_Branch]:
+        """The root's branches; none when no assignment is compatible, so
+        that every tree has an empty outcome set."""
+        if not state.alive:
+            return frozenset()
+        return frozenset([(state, self.evaluator.begin(self.goal, state))])
 
-    def choices(self, q: StateId) -> Iterator[tuple[ActionId, ...]]:
-        return itertools.product(
-            *(sorted(self.game.protocols[a][q]) for a in self.members)
-        )
+    def verdict(self, state: _State) -> Verdict:
+        """The operator's verdict at a prefix; see ``eval_strategic``."""
+        start = self.start(state)
+        if not start:
+            return Verdict.FALSE
+        if self.rank(0, start, self.won) == 2:
+            return Verdict.TRUE
+        if self.rank(0, start, self.unfalsified) != 2:
+            return Verdict.FALSE
+        return Verdict.UNKNOWN
+
+    def choices(self, q: StateId) -> list:
+        """Each coalition choice at ``q``, in enumeration order, with the
+        moves it allows."""
+        key = (self.members, q)
+        got = self.evaluator.options.get(key)
+        if got is None:
+            game = self.evaluator.game
+            moves = game.moves(q)
+            got = self.evaluator.options[key] = [
+                (
+                    choice,
+                    [
+                        move
+                        for move in moves
+                        if all(move[0][a] == x for a, x in zip(self.members, choice))
+                    ],
+                )
+                for choice in itertools.product(
+                    *(sorted(game.protocols[a][q]) for a in self.members)
+                )
+            ]
+        return got
 
     def expand(
-        self,
-        history: History,
-        branches: list[Branch],
-        choice: tuple[ActionId, ...],
-    ) -> dict[StateId, list[Branch]]:
-        return extend_branches(
-            self.game, history[-1], branches, dict(zip(self.members, choice))
-        )
+        self, branches: frozenset[_Branch], moves: list
+    ) -> dict[StateId, frozenset[_Branch]]:
+        """Every branch extended by every move, dropped once no assignment is
+        compatible, and grouped by the state it reaches."""
+        evaluator = self.evaluator
+        groups: dict[StateId, set[_Branch]] = {}
+        for state, progress in branches:
+            for joint, _, target in moves:
+                after = evaluator.step(state, joint, target)
+                if after.alive:
+                    groups.setdefault(target, set()).add(
+                        (after, evaluator.advance(self.goal, progress, after))
+                    )
+        return {target: frozenset(group) for target, group in groups.items()}
 
-    def verdict(self, outcome: Path) -> Verdict:
-        if outcome not in self.verdicts:
-            self.verdicts[outcome] = eval_temporal(
-                self.goal_ctx, self.goal, outcome
-            )
-        return self.verdicts[outcome]
-
-    def won(self, branches: list[Branch]) -> int:
+    def won(self, branches: frozenset[_Branch]) -> int:
         """Leaf rule for a winning tree: every outcome TRUE."""
-        for branch, _ in branches:
-            if self.verdict(branch) is not Verdict.TRUE:
+        for _, progress in branches:
+            if _final(progress) is not Verdict.TRUE:
                 return 0
         return 2
 
-    def unfalsified(self, branches: list[Branch]) -> int:
+    def unfalsified(self, branches: frozenset[_Branch]) -> int:
         """Leaf rule for a tree that escapes falsification: no FALSE outcome
         is unprunable, and 2 only if some outcome is not FALSE."""
         rank = 1
-        for branch, caps in branches:
-            if self.verdict(branch) is not Verdict.FALSE:
+        for state, progress in branches:
+            if _final(progress) is not Verdict.FALSE:
                 rank = 2
-            elif all(cs & self.safe_caps[a] for a, cs in enumerate(caps)):
+            elif all(cs & safe for cs, safe in zip(state.caps, self.safe_caps)):
                 return 0
         return rank
 
-    def rank(self, history: History, branches: list[Branch], leaf: _Leaf) -> int:
+    def rank(self, depth: int, branches: frozenset[_Branch], leaf: _Leaf) -> int:
         """2 if some subtree below the node has every leaf ranked at least 1
         by ``leaf`` and some leaf ranked 2, else 1 if some has every leaf
         ranked at least 1 (or no leaf), else 0; stops at the first 2."""
-        if self.is_leaf(history):
+        if depth == self.horizon:
             return leaf(branches)
+        key = (leaf.__name__, depth, branches)
+        best = self.ranks.get(key)
+        if best is not None:
+            return best
         best = 0
-        for choice in self.choices(history[-1]):
-            groups = self.expand(history, branches, choice)
-            ranks = self.child_ranks(history, groups, leaf)
+        q = next(iter(branches))[0].q
+        for _, moves in self.choices(q):
+            ranks = self.child_ranks(depth + 1, self.expand(branches, moves), leaf)
             if ranks is not None:
                 if 2 in ranks.values():
-                    return 2
+                    best = 2
+                    break
                 best = 1
+        self.ranks[key] = best
         return best
 
     def child_ranks(
-        self, history: History, groups: dict[StateId, list[Branch]], leaf: _Leaf
+        self, depth: int, groups: dict[StateId, frozenset[_Branch]], leaf: _Leaf
     ) -> dict[StateId, int] | None:
         """Each child's rank, or None as soon as one ranks 0."""
         ranks = {}
         for target in sorted(groups):
-            got = self.rank(history + (target,), groups[target], leaf)
+            got = self.rank(depth, groups[target], leaf)
             if got == 0:
                 return None
             ranks[target] = got
@@ -346,7 +602,9 @@ class _Search:
 
 
 def eval_strategic(
-    ctx: EvalContext, coalition: frozenset[AgentId], goal: fm.TemporalFormula
+    ctx: EvalContext,
+    coalition: frozenset[AgentId],
+    goal: fm.TemporalFormula,
 ) -> Verdict:
     """Existential over strategy trees, universal over surviving outcomes.
 
@@ -369,14 +627,9 @@ def eval_strategic(
     root ranks 2, where a node takes the best choice and a choice needs all
     of its children at least 1 and one of them at 2.
     """
-    search = _Search(ctx, coalition, goal)
-    if not search.start:
-        return Verdict.FALSE
-    if search.rank(search.root, search.start, search.won) == 2:
-        return Verdict.TRUE
-    if search.rank(search.root, search.start, search.unfalsified) != 2:
-        return Verdict.FALSE
-    return Verdict.UNKNOWN
+    evaluator = _evaluator(ctx, goal)
+    search = evaluator.search(coalition, goal)
+    return search.verdict(evaluator.fold(ctx.path, ctx.index))
 
 
 # -- certificates -------------------------------------------------------------
@@ -388,8 +641,8 @@ def _choice_targets(
     """Successors of ``q`` under a coalition choice, ignoring capacities."""
     return sorted(
         {
-            game.transitions[(q, joint)]
-            for joint in game.joint_actions(q)
+            target
+            for joint, _, target in game.moves(q)
             if all(joint[a] == x for a, x in fixed.items())
         }
     )
@@ -476,30 +729,32 @@ def find_winning_strategy(
     independent, so the walk picks the lexicographically first winning
     sequence of decisions.  Histories reached only through capacity-pruned
     branches cannot change the outcomes and take the first tree's choices.
+    Given the context that decided the verdict, the walk reuses its ranks.
     """
-    search = _Search(ctx, coalition, goal)
-    pivot = search.root[0]
-    if not search.start:
+    evaluator = _evaluator(ctx, goal)
+    search = evaluator.search(coalition, goal)
+    start = search.start(evaluator.fold(ctx.path, ctx.index))
+    pivot = ctx.path.states[ctx.index - 1]
+    if not start:
         return None
-    if not search.members or search.is_leaf(search.root):
+    if not search.members or ctx.horizon == 0:
         # The single tree of an empty coalition or of depth 0 decides nothing.
-        if search.rank(search.root, search.start, search.won) != 2:
+        if search.rank(0, start, search.won) != 2:
             return None
         return StrategyTree(frozenset(coalition), pivot, ctx.horizon, {})
 
     decisions: dict[History, tuple[ActionId, ...]] = {}
     pruned: list[History] = []
     # Open nodes with their ranks; the root's is not known yet.
-    queue = collections.deque([(search.root, search.start, 0)])
+    queue = collections.deque([((pivot,), start, 0)])
     # Open nodes and fixed leaves that can end TRUE with an outcome.
     twos = 0
     while queue:
         history, branches, own = queue.popleft()
         twos -= own == 2
-        q = history[-1]
-        for choice in search.choices(q):
-            groups = search.expand(history, branches, choice)
-            ranks = search.child_ranks(history, groups, search.won)
+        for choice, moves in search.choices(history[-1]):
+            groups = search.expand(branches, moves)
+            ranks = search.child_ranks(len(history), groups, search.won)
             if ranks is None:
                 continue
             gained = sum(got == 2 for got in ranks.values())
@@ -510,8 +765,7 @@ def find_winning_strategy(
         decisions[history] = choice
         twos += gained
         if len(history) < ctx.horizon:
-            fixed = dict(zip(search.members, choice))
-            for target in _choice_targets(ctx.game, q, fixed):
+            for target in sorted({target for _, _, target in moves}):
                 child = history + (target,)
                 if target in groups:
                     queue.append((child, groups[target], ranks[target]))
@@ -533,6 +787,7 @@ def find_falsifying_pair(
     Meaningful when the strategic verdict is FALSE: then every tree is
     falsified, so the first one in enumeration order is taken.
     """
+    evaluator = _evaluator(ctx, goal)
     prefix = ctx.path.prefix(ctx.index)
     pivot = prefix.last_state
     members = tuple(sorted(coalition))
@@ -546,10 +801,7 @@ def find_falsifying_pair(
         outcomes_bounded(ctx.game, prefix, tree, ctx.horizon),
         key=lambda p: p.actions,
     ):
-        if (
-            eval_temporal(ctx.at(prefix, ctx.index), goal, outcome)
-            is Verdict.FALSE
-        ):
+        if evaluator.outcome_verdict(goal, outcome, ctx.index) is Verdict.FALSE:
             return tree, outcome
     return tree, None
 

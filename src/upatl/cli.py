@@ -18,6 +18,7 @@ import time
 from . import formula as fm
 from .checker import (
     EvalContext,
+    Evaluator,
     Verdict,
     canonical_assignment,
     eval_path_formula,
@@ -286,6 +287,8 @@ def _cmd_check(args) -> int:
         index=1,
         assignment=canonical_assignment(game),
         horizon=args.horizon,
+        # Shared, so that the certificate reuses the verdict's search.
+        evaluator=Evaluator(game, args.horizon, f),
     )
     verdict = eval_path_formula(ctx, f)
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -13,7 +13,7 @@ kept only for diagnostics and serialization.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 AgentId = int
 CapacityId = int
@@ -83,6 +83,17 @@ class GameStructure:
     protocols: tuple[tuple[frozenset[ActionId], ...], ...]  # [agent][state]
     transitions: dict[tuple[StateId, JointAction], StateId]
     init_state: StateId | None = None
+    # Move tables, filled lazily by ``joint_actions`` and ``moves`` (state ->
+    # tuple) and ``licensing`` (joint action -> tuple).  Derived from the
+    # fields above, which never change, and never copied by
+    # ``dataclasses.replace``.
+    _joint_actions: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _licensing: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         k = len(self.agent_names)
@@ -166,10 +177,42 @@ class GameStructure:
 
     def joint_actions(self, state: StateId) -> tuple[JointAction, ...]:
         """All joint actions available at ``state``, sorted lexicographically."""
-        if not 0 <= state < len(self.state_names):
-            raise ValueError(f"unknown state id {state}")
-        per_agent = [sorted(self.protocols[a][state]) for a in self.agents]
-        return tuple(itertools.product(*per_agent))
+        table = self._joint_actions.get(state)
+        if table is None:
+            if not 0 <= state < len(self.state_names):
+                raise ValueError(f"unknown state id {state}")
+            per_agent = [sorted(self.protocols[a][state]) for a in self.agents]
+            table = self._joint_actions[state] = tuple(
+                itertools.product(*per_agent)
+            )
+        return table
+
+    def licensing(self, joint: JointAction) -> tuple[frozenset[CapacityId], ...]:
+        """Per agent, the capacities of that agent licensing its action."""
+        table = self._licensing.get(joint)
+        if table is None:
+            table = self._licensing[joint] = tuple(
+                frozenset(
+                    c
+                    for c in self.agent_capacities[a]
+                    if x in self.capacity_actions[c]
+                )
+                for a, x in enumerate(joint)
+            )
+        return table
+
+    def moves(
+        self, state: StateId
+    ) -> tuple[tuple[JointAction, tuple[frozenset[CapacityId], ...], StateId], ...]:
+        """``(joint, licensing(joint), successor)`` per available joint action,
+        in ``joint_actions`` order."""
+        table = self._moves.get(state)
+        if table is None:
+            table = self._moves[state] = tuple(
+                (joint, self.licensing(joint), self.transitions[(state, joint)])
+                for joint in self.joint_actions(state)
+            )
+        return table
 
     def is_available(self, state: StateId, joint: JointAction) -> bool:
         if len(joint) != self.agent_count:

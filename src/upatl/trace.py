@@ -129,18 +129,11 @@ def extend_branches(
     whose set empties for some agent is dropped, and the survivors are
     grouped by the state they reach.
     """
-    steps = []
-    for joint in game.joint_actions(state):
-        if all(joint[a] == x for a, x in fixed.items()):
-            licensing = tuple(
-                frozenset(
-                    c
-                    for c in game.agent_capacities[a]
-                    if joint[a] in game.capacity_actions[c]
-                )
-                for a in game.agents
-            )
-            steps.append((joint, licensing, game.transitions[(state, joint)]))
+    steps = [
+        move
+        for move in game.moves(state)
+        if all(move[0][a] == x for a, x in fixed.items())
+    ]
     groups: dict[StateId, list[Branch]] = {}
     for path, caps in branches:
         for joint, licensing, target in steps:
@@ -253,11 +246,11 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
                     f"{game.state_names[q]}"
                 )
         if len(history) < tree.depth:
-            for joint in game.joint_actions(q):
+            for joint, _, target in game.moves(q):
                 if all(
                     joint[agent] == x for agent, x in zip(agents, prescribed)
                 ):
-                    frontier.append(history + (game.transitions[(q, joint)],))
+                    frontier.append(history + (target,))
     return problems
 
 

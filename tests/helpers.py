@@ -7,8 +7,14 @@ import random
 from upatl.checker import (
     EvalContext,
     Verdict,
+    and3,
     enumerate_strategy_trees,
+    eval_cap_formula,
     eval_temporal,
+    lift,
+    not3,
+    or3,
+    unprunable_capacities,
 )
 from upatl.formula import (
     And,
@@ -27,7 +33,14 @@ from upatl.formula import (
     Until,
 )
 from upatl.model import GameStructure
-from upatl.trace import Path, StrategyTree, outcomes_bounded
+from upatl.trace import (
+    Path,
+    StrategyTree,
+    compatible_assignments,
+    compatible_capacities,
+    indistinguishability_class,
+    outcomes_bounded,
+)
 
 
 def path_of(game: GameStructure, *alternating: str) -> Path:
@@ -65,6 +78,98 @@ def first_winning_tree(
         ):
             return tree
     return None
+
+
+def reference_knowledge(
+    game: GameStructure, path: Path, index: int, agent: int, body: CapFormula
+) -> bool:
+    """Reference knowledge: every compatible assignment of every path in the
+    agent's indistinguishability class of the prefix satisfies ``body``."""
+    if not 1 <= index <= len(path.states):
+        raise ValueError("index out of range for the path")
+    prefix = path.prefix(index)
+    return all(
+        eval_cap_formula(assignment, body)
+        for other in indistinguishability_class(game, prefix, agent)
+        for assignment in compatible_assignments(game, other)
+    )
+
+
+def reference_temporal(
+    ctx: EvalContext, goal: TemporalFormula, outcome: Path
+) -> Verdict:
+    """Reference bounded temporal rules: the strong-Kleene unrolling, computed
+    backward from UNKNOWN past the horizon, on the concrete outcome."""
+    i, k = ctx.index, ctx.horizon
+    if len(outcome.states) != i + k:
+        raise ValueError("outcome does not match the horizon")
+    if isinstance(goal, Next):
+        if k < 1:
+            return Verdict.UNKNOWN
+        return reference_path_formula(ctx.at(outcome, i + 1), goal.operand)
+    result = Verdict.UNKNOWN
+    for j in range(i + k, i - 1, -1):
+        here = ctx.at(outcome, j)
+        right = reference_path_formula(here, goal.right)
+        left = reference_path_formula(here, goal.left)
+        if isinstance(goal, Until):
+            result = or3(right, and3(left, result))
+        else:
+            result = and3(right, or3(left, result))
+    return result
+
+
+def reference_strategic(
+    ctx: EvalContext, coalition: frozenset[int], goal: TemporalFormula
+) -> Verdict:
+    """Reference strategic verdict, tree by tree: TRUE if some tree has
+    outcomes, all TRUE; FALSE if every tree is falsified (no outcome, every
+    outcome FALSE, or a FALSE outcome the coalition can never prune); else
+    UNKNOWN.  Exponential in the horizon; for small cases only."""
+    game = ctx.game
+    prefix = ctx.path.prefix(ctx.index)
+    base = ctx.at(prefix, ctx.index)
+    safe = unprunable_capacities(game, coalition)
+    escaped = False
+    for tree in enumerate_strategy_trees(
+        game, prefix.last_state, coalition, ctx.horizon
+    ):
+        outcomes = outcomes_bounded(game, prefix, tree, ctx.horizon)
+        verdicts = {o: reference_temporal(base, goal, o) for o in outcomes}
+        if outcomes and all(v is Verdict.TRUE for v in verdicts.values()):
+            return Verdict.TRUE
+        falsified = (
+            all(v is Verdict.FALSE for v in verdicts.values())
+            or any(
+                v is Verdict.FALSE
+                and all(
+                    compatible_capacities(game, o, a) & safe[a]
+                    for a in game.agents
+                )
+                for o, v in verdicts.items()
+            )
+        )
+        escaped = escaped or not falsified
+    return Verdict.UNKNOWN if escaped else Verdict.FALSE
+
+
+def reference_path_formula(ctx: EvalContext, f: PathFormula) -> Verdict:
+    """Reference satisfaction on the concrete prefix, built from the three
+    references above."""
+    if isinstance(f, Atom):
+        return lift(f.prop in ctx.game.labels[ctx.path.states[ctx.index - 1]])
+    if isinstance(f, Know):
+        return lift(
+            reference_knowledge(ctx.game, ctx.path, ctx.index, f.agent, f.body)
+        )
+    if isinstance(f, Not):
+        return not3(reference_path_formula(ctx, f.operand))
+    if isinstance(f, And):
+        return and3(
+            reference_path_formula(ctx, f.left),
+            reference_path_formula(ctx, f.right),
+        )
+    return reference_strategic(ctx, f.coalition, f.goal)
 
 
 def all_paths(game: GameStructure, start: int, steps: int) -> list[Path]:
