@@ -12,9 +12,13 @@ not materialize the trees: decisions at distinct suffix histories are
 independent, so it searches the and-or structure per history node and ranks
 each node by the best subtree below it under a leaf rule.  One rule asks
 for a winning tree, the other for a tree that escapes falsification; the
-verdict takes at most one pass of each, and the witness is a greedy walk
-over the first.  ``enumerate_strategy_trees`` materializes trees in the
-canonical order that witnesses and falsifiers are first in.
+verdict takes at most one pass of each.  Certificates come from one walk
+over the first: a greedy walk yields the witness, and the same walk started
+without live branches yields the falsifier's tree, the first tree of all.
+``enumerate_strategy_trees`` materializes trees in the canonical order that
+witnesses and falsifiers are first in.  The search, the walk and the
+enumeration read a coalition's choices at a state, each with the moves it
+allows, from one table, ``GameStructure.choices``.
 
 Each nested strategic operator is re-anchored at the current prefix with the
 full configured horizon, so nesting does not starve the budget.
@@ -71,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import formula as fm
-from .model import ActionId, AgentId, CapacityId, GameStructure, StateId
+from .model import ActionId, AgentId, CapacityId, GameStructure, Move, StateId
 from .trace import (
     CapacityAssignment,
     History,
@@ -204,21 +208,39 @@ def _final(progress: Progress) -> Verdict:
     return progress[0]
 
 
+def _nodes(f) -> Iterator[tuple[object, int]]:
+    """Every node of ``f``, with the number of strategic operators from the
+    root down to it, itself included."""
+    stack = [(f, 0)]
+    while stack:
+        g, nesting = stack.pop()
+        if isinstance(g, fm.Strat):
+            nesting += 1
+            stack.append((g.goal, nesting))
+        elif isinstance(g, (fm.Not, fm.Next)):
+            stack.append((g.operand, nesting))
+        elif isinstance(g, (fm.And, fm.Until, fm.Release)):
+            stack += [(g.left, nesting), (g.right, nesting)]
+        yield g, nesting
+
+
 def _knowers(f) -> set[AgentId]:
     """Agents named in a ``K[...]`` subformula of ``f``."""
-    found = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, fm.Know):
-            found.add(g.agent)
-        elif isinstance(g, (fm.Not, fm.Next)):
-            stack.append(g.operand)
-        elif isinstance(g, (fm.And, fm.Until, fm.Release)):
-            stack += [g.left, g.right]
-        elif isinstance(g, fm.Strat):
-            stack.append(g.goal)
-    return found
+    return {g.agent for g, _ in _nodes(f) if isinstance(g, fm.Know)}
+
+
+# Deepest search the checker accepts: the horizon times the most strategic
+# operators nested on one branch of the formula.  The rank search recurses
+# once per step, and a nested operator's search runs inside its parent's, so
+# a deeper search would exhaust the interpreter's stack.  Set from
+# measurement under pytest with a formula nested to ``formula.MAX_NESTING``,
+# which first failed at 379.
+MAX_SEARCH_DEPTH = 300
+
+
+def strategic_nesting(f: fm.PathFormula) -> int:
+    """The most strategic operators nested on one branch of ``f``."""
+    return max(nesting for _, nesting in _nodes(f))
 
 
 class _State:
@@ -256,7 +278,6 @@ class Evaluator:
         self.peers: dict[tuple, list[Caps]] = {}
         self.values: dict[tuple, Verdict] = {}
         self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
-        self.options: dict[tuple, list] = {}  # by (coalition members, state)
 
     def _intern(self, q: StateId, caps: Caps, beliefs: tuple) -> _State:
         key = (q, caps, beliefs)
@@ -509,31 +530,8 @@ class _Search:
             return Verdict.FALSE
         return Verdict.UNKNOWN
 
-    def choices(self, q: StateId) -> list:
-        """Each coalition choice at ``q``, in enumeration order, with the
-        moves it allows."""
-        key = (self.members, q)
-        got = self.evaluator.options.get(key)
-        if got is None:
-            game = self.evaluator.game
-            moves = game.moves(q)
-            got = self.evaluator.options[key] = [
-                (
-                    choice,
-                    [
-                        move
-                        for move in moves
-                        if all(move[0][a] == x for a, x in zip(self.members, choice))
-                    ],
-                )
-                for choice in itertools.product(
-                    *(sorted(game.protocols[a][q]) for a in self.members)
-                )
-            ]
-        return got
-
     def expand(
-        self, branches: frozenset[_Branch], moves: list
+        self, branches: frozenset[_Branch], moves: tuple[Move, ...]
     ) -> dict[StateId, frozenset[_Branch]]:
         """Every branch extended by every move, dropped once no assignment is
         compatible, and grouped by the state it reaches."""
@@ -578,7 +576,7 @@ class _Search:
             return best
         best = 0
         q = next(iter(branches))[0].q
-        for _, moves in self.choices(q):
+        for moves in self.evaluator.game.choices(q, self.members).values():
             ranks = self.child_ranks(depth + 1, self.expand(branches, moves), leaf)
             if ranks is not None:
                 if 2 in ranks.values():
@@ -599,6 +597,58 @@ class _Search:
                 return None
             ranks[target] = got
         return ranks
+
+    def first_tree(
+        self, pivot: StateId, start: frozenset[_Branch]
+    ) -> dict[History, tuple[ActionId, ...]] | None:
+        """The decisions of the first tree, in enumeration order, that wins
+        from ``start``, or None if no tree does.
+
+        Walks the nodes in the enumeration's breadth-first history order and
+        fixes each to its smallest choice that still admits a winning
+        completion: every open node can still end TRUE, and at least one
+        node can end TRUE with an outcome.  Decisions at distinct histories
+        are independent, so the walk picks the lexicographically first
+        winning sequence of decisions.  A history without live branches
+        cannot change the outcomes and takes its first choice, as do its
+        descendants; from an empty ``start`` the walk yields the first tree.
+        """
+        if not self.members or self.horizon == 0:
+            # The single tree of an empty coalition or of depth 0 decides nothing.
+            if start and self.rank(0, start, self.won) != 2:
+                return None
+            return {}
+        game = self.evaluator.game
+        decisions: dict[History, tuple[ActionId, ...]] = {}
+        # Open nodes with their ranks; the root's is not known yet.
+        queue = collections.deque([((pivot,), start, 0)])
+        # Open nodes and fixed leaves that can end TRUE with an outcome.
+        twos = 0
+        while queue:
+            history, branches, own = queue.popleft()
+            twos -= own == 2
+            for choice, moves in game.choices(history[-1], self.members).items():
+                groups = self.expand(branches, moves)
+                ranks = self.child_ranks(len(history), groups, self.won)
+                if ranks is None:
+                    continue
+                gained = sum(got == 2 for got in ranks.values())
+                if twos + gained > 0 or not branches:
+                    break
+            else:
+                return None  # only the root can lack a winning choice
+            decisions[history] = choice
+            twos += gained
+            if len(history) < self.horizon:
+                for target in sorted({target for _, _, target in moves}):
+                    queue.append(
+                        (
+                            history + (target,),
+                            groups.get(target, frozenset()),
+                            ranks.get(target, 0),
+                        )
+                    )
+        return decisions
 
 
 def eval_strategic(
@@ -635,19 +685,6 @@ def eval_strategic(
 # -- certificates -------------------------------------------------------------
 
 
-def _choice_targets(
-    game: GameStructure, q: StateId, fixed: dict[AgentId, ActionId]
-) -> list[StateId]:
-    """Successors of ``q`` under a coalition choice, ignoring capacities."""
-    return sorted(
-        {
-            target
-            for joint, _, target in game.moves(q)
-            if all(joint[a] == x for a, x in fixed.items())
-        }
-    )
-
-
 def enumerate_strategy_trees(
     game: GameStructure,
     pivot: StateId,
@@ -662,13 +699,12 @@ def enumerate_strategy_trees(
     action indices at each node.
     """
     members = tuple(sorted(coalition))
-    if not members or depth == 0:
-        yield StrategyTree(frozenset(coalition), pivot, depth, {})
-        return
     # Depth-first over the decision sequence; each frame holds the histories
-    # still to decide, in breadth-first order, and the decisions so far.
-    # Choices are pushed largest first so that the smallest pops first.
-    stack: list[tuple[tuple[History, ...], tuple]] = [(((pivot,),), ())]
+    # still to decide, in breadth-first order, and the decisions so far.  The
+    # empty coalition and depth 0 decide nothing.  Choices are pushed largest
+    # first so that the smallest pops first.
+    root = ((pivot,),) if members and depth else ()
+    stack: list[tuple[tuple[History, ...], tuple]] = [(root, ())]
     while stack:
         pending, decided = stack.pop()
         if not pending:
@@ -677,42 +713,14 @@ def enumerate_strategy_trees(
             )
             continue
         history = pending[0]
-        q = history[-1]
-        for choice in itertools.product(
-            *(sorted(game.protocols[a][q], reverse=True) for a in members)
-        ):
+        for choice, moves in reversed(game.choices(history[-1], members).items()):
             children: tuple[History, ...] = ()
             if len(history) < depth:
-                targets = _choice_targets(game, q, dict(zip(members, choice)))
+                targets = sorted({target for _, _, target in moves})
                 children = tuple(history + (t,) for t in targets)
             stack.append(
                 (pending[1:] + children, decided + ((history, choice),))
             )
-
-
-def _first_choices(
-    game: GameStructure,
-    members: tuple[AgentId, ...],
-    roots: list[History],
-    depth: int,
-) -> dict[History, tuple[ActionId, ...]]:
-    """The first tree's decisions below ``roots``.
-
-    Every history of length at most ``depth`` reachable from a root under
-    these decisions gets each member's smallest protocol action, as the
-    first tree in enumeration order has it.
-    """
-    decisions: dict[History, tuple[ActionId, ...]] = {}
-    stack = [history for history in roots if members and len(history) <= depth]
-    while stack:
-        history = stack.pop()
-        q = history[-1]
-        choice = tuple(min(game.protocols[a][q]) for a in members)
-        decisions[history] = choice
-        if len(history) < depth:
-            targets = _choice_targets(game, q, dict(zip(members, choice)))
-            stack.extend(history + (t,) for t in targets)
-    return decisions
 
 
 def find_winning_strategy(
@@ -720,60 +728,16 @@ def find_winning_strategy(
     coalition: frozenset[AgentId],
     goal: fm.TemporalFormula,
 ) -> StrategyTree | None:
-    """First tree, in enumeration order, that wins the bounded goal.
-
-    Walks the and-or search in the enumeration's breadth-first history
-    order and fixes each node to its smallest choice that still admits a
-    winning completion: every open node can still end TRUE, and at least one
-    node can end TRUE with an outcome.  Decisions at distinct histories are
-    independent, so the walk picks the lexicographically first winning
-    sequence of decisions.  Histories reached only through capacity-pruned
-    branches cannot change the outcomes and take the first tree's choices.
-    Given the context that decided the verdict, the walk reuses its ranks.
-    """
+    """First tree, in enumeration order, that wins the bounded goal; see
+    ``_Search.first_tree``.  Given the context that decided the verdict, the
+    walk reuses its ranks."""
     evaluator = _evaluator(ctx, goal)
     search = evaluator.search(coalition, goal)
     start = search.start(evaluator.fold(ctx.path, ctx.index))
     pivot = ctx.path.states[ctx.index - 1]
-    if not start:
+    decisions = search.first_tree(pivot, start) if start else None
+    if decisions is None:
         return None
-    if not search.members or ctx.horizon == 0:
-        # The single tree of an empty coalition or of depth 0 decides nothing.
-        if search.rank(0, start, search.won) != 2:
-            return None
-        return StrategyTree(frozenset(coalition), pivot, ctx.horizon, {})
-
-    decisions: dict[History, tuple[ActionId, ...]] = {}
-    pruned: list[History] = []
-    # Open nodes with their ranks; the root's is not known yet.
-    queue = collections.deque([((pivot,), start, 0)])
-    # Open nodes and fixed leaves that can end TRUE with an outcome.
-    twos = 0
-    while queue:
-        history, branches, own = queue.popleft()
-        twos -= own == 2
-        for choice, moves in search.choices(history[-1]):
-            groups = search.expand(branches, moves)
-            ranks = search.child_ranks(len(history), groups, search.won)
-            if ranks is None:
-                continue
-            gained = sum(got == 2 for got in ranks.values())
-            if twos + gained > 0:
-                break
-        else:
-            return None  # only the root can lack a winning choice
-        decisions[history] = choice
-        twos += gained
-        if len(history) < ctx.horizon:
-            for target in sorted({target for _, _, target in moves}):
-                child = history + (target,)
-                if target in groups:
-                    queue.append((child, groups[target], ranks[target]))
-                else:
-                    pruned.append(child)
-    decisions.update(
-        _first_choices(ctx.game, search.members, pruned, ctx.horizon)
-    )
     return StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
 
 
@@ -782,21 +746,18 @@ def find_falsifying_pair(
     coalition: frozenset[AgentId],
     goal: fm.TemporalFormula,
 ) -> tuple[StrategyTree, Path | None]:
-    """A falsified tree with a FALSE outcome, or with none when pruned empty.
+    """The first tree in enumeration order, with its first FALSE outcome in
+    action order, or with none when its outcomes are pruned empty.
 
     Meaningful when the strategic verdict is FALSE: then every tree is
-    falsified, so the first one in enumeration order is taken.
+    falsified, so the first one is taken.  It is the witness walk started
+    without live branches.
     """
     evaluator = _evaluator(ctx, goal)
     prefix = ctx.path.prefix(ctx.index)
     pivot = prefix.last_state
-    members = tuple(sorted(coalition))
-    tree = StrategyTree(
-        frozenset(coalition),
-        pivot,
-        ctx.horizon,
-        _first_choices(ctx.game, members, [(pivot,)], ctx.horizon),
-    )
+    decisions = evaluator.search(coalition, goal).first_tree(pivot, frozenset())
+    tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
     for outcome in sorted(
         outcomes_bounded(ctx.game, prefix, tree, ctx.horizon),
         key=lambda p: p.actions,

@@ -17,6 +17,7 @@ import time
 
 from . import formula as fm
 from .checker import (
+    MAX_SEARCH_DEPTH,
     EvalContext,
     Evaluator,
     Verdict,
@@ -24,6 +25,7 @@ from .checker import (
     eval_path_formula,
     find_falsifying_pair,
     find_winning_strategy,
+    strategic_nesting,
 )
 from .formula import FormulaError, parse_formula, render_formula
 from .gamespec import (
@@ -280,6 +282,12 @@ def _cmd_check(args) -> int:
     game = _read_game(args.game)
     f = parse_formula(args.formula, game)
     state = _state_id(game, args.state)
+    nesting = strategic_nesting(f)
+    if args.horizon * nesting > MAX_SEARCH_DEPTH:
+        raise UsageError(
+            f"horizon {args.horizon} times strategic nesting {nesting} exceeds "
+            f"the search depth limit {MAX_SEARCH_DEPTH}"
+        )
     started = time.perf_counter()
     ctx = EvalContext(
         game=game,

@@ -21,6 +21,8 @@ StateId = int
 ActionId = int
 PropId = int
 JointAction = tuple[ActionId, ...]
+# A move: joint action, per-agent licensing capacities, successor state.
+Move = tuple[JointAction, tuple[frozenset[CapacityId], ...], StateId]
 
 # Reserved proposition, labeled on every state by construction.  The formula
 # layer desugars "true"/"false" to this atom and its negation.
@@ -84,13 +86,16 @@ class GameStructure:
     transitions: dict[tuple[StateId, JointAction], StateId]
     init_state: StateId | None = None
     # Move tables, filled lazily by ``joint_actions`` and ``moves`` (state ->
-    # tuple) and ``licensing`` (joint action -> tuple).  Derived from the
-    # fields above, which never change, and never copied by
-    # ``dataclasses.replace``.
+    # tuple), ``licensing`` (joint action -> tuple) and ``choices`` ((state,
+    # members) -> dict).  Derived from the fields above, which never change,
+    # and never copied by ``dataclasses.replace``.
     _joint_actions: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _choices: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _licensing: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -163,9 +168,6 @@ class GameStructure:
     def true_prop(self) -> PropId:
         return self.prop_names.index(TRUE_PROP)
 
-    def protocol(self, agent: AgentId, state: StateId) -> frozenset[ActionId]:
-        return self.protocols[agent][state]
-
     def allowed_actions(self, agent: AgentId) -> frozenset[ActionId]:
         """Union of the action sets of the agent's capacities."""
         out: set[ActionId] = set()
@@ -201,9 +203,7 @@ class GameStructure:
             )
         return table
 
-    def moves(
-        self, state: StateId
-    ) -> tuple[tuple[JointAction, tuple[frozenset[CapacityId], ...], StateId], ...]:
+    def moves(self, state: StateId) -> tuple[Move, ...]:
         """``(joint, licensing(joint), successor)`` per available joint action,
         in ``joint_actions`` order."""
         table = self._moves.get(state)
@@ -212,6 +212,32 @@ class GameStructure:
                 (joint, self.licensing(joint), self.transitions[(state, joint)])
                 for joint in self.joint_actions(state)
             )
+        return table
+
+    def choices(
+        self, state: StateId, members: tuple[AgentId, ...]
+    ) -> dict[tuple[ActionId, ...], tuple[Move, ...]]:
+        """Each choice of one protocol action per member at ``state``, mapped
+        to the ``moves(state)`` it allows, the other agents moving freely.
+
+        Choices come in ``itertools.product`` order of the members' sorted
+        protocols, so the first gives each member its smallest action; the
+        empty coalition has the single choice ``()``, allowing every move.
+        """
+        key = (state, members)
+        table = self._choices.get(key)
+        if table is None:
+            allowed: dict[tuple[ActionId, ...], list[Move]] = {
+                choice: []
+                for choice in itertools.product(
+                    *(sorted(self.protocols[a][state]) for a in members)
+                )
+            }
+            for move in self.moves(state):
+                allowed[tuple(move[0][a] for a in members)].append(move)
+            table = self._choices[key] = {
+                choice: tuple(group) for choice, group in allowed.items()
+            }
         return table
 
     def is_available(self, state: StateId, joint: JointAction) -> bool:

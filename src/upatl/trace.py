@@ -115,36 +115,6 @@ def compatible_assignments(
 Branch = tuple[Path, tuple[frozenset[CapacityId], ...]]
 
 
-def extend_branches(
-    game: GameStructure,
-    state: StateId,
-    branches: list[Branch],
-    fixed: dict[AgentId, ActionId],
-) -> dict[StateId, list[Branch]]:
-    """Extend branches ending at ``state`` by one step under a coalition choice.
-
-    ``fixed`` prescribes an action to each coalition agent; the other agents
-    take every action of their protocols.  Each step narrows a branch's
-    capacity sets to the capacities licensing the action taken, a branch
-    whose set empties for some agent is dropped, and the survivors are
-    grouped by the state they reach.
-    """
-    steps = [
-        move
-        for move in game.moves(state)
-        if all(move[0][a] == x for a, x in fixed.items())
-    ]
-    groups: dict[StateId, list[Branch]] = {}
-    for path, caps in branches:
-        for joint, licensing, target in steps:
-            narrowed = tuple(cs & lic for cs, lic in zip(caps, licensing))
-            if all(narrowed):
-                groups.setdefault(target, []).append(
-                    (path.extend(joint, target), narrowed)
-                )
-    return groups
-
-
 def indistinguishable(
     game: GameStructure, left: Path, right: Path, agent: AgentId
 ) -> bool:
@@ -246,11 +216,8 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
                     f"{game.state_names[q]}"
                 )
         if len(history) < tree.depth:
-            for joint, _, target in game.moves(q):
-                if all(
-                    joint[agent] == x for agent, x in zip(agents, prescribed)
-                ):
-                    frontier.append(history + (target,))
+            for _, _, target in game.choices(q, agents).get(prescribed, ()):
+                frontier.append(history + (target,))
     return problems
 
 
@@ -283,13 +250,19 @@ def outcomes_bounded(
     frontier: dict[History, list[Branch]] = {
         (path.last_state,): [(path, start_caps)]
     }
+    # Each step narrows a branch's capacity sets to the capacities licensing
+    # the action taken, and drops the branch once one of them empties.
     for _ in range(steps):
         reached: dict[History, list[Branch]] = {}
         for history, branches in frontier.items():
-            fixed = dict(zip(agents, tree.prescription(history)))
-            groups = extend_branches(game, history[-1], branches, fixed)
-            for target, group in groups.items():
-                reached[history + (target,)] = group
+            moves = game.choices(history[-1], agents)[tree.prescription(history)]
+            for path, caps in branches:
+                for joint, licensing, target in moves:
+                    narrowed = tuple(cs & lic for cs, lic in zip(caps, licensing))
+                    if all(narrowed):
+                        reached.setdefault(history + (target,), []).append(
+                            (path.extend(joint, target), narrowed)
+                        )
         frontier = reached
     return frozenset(
         branch for branches in frontier.values() for branch, _ in branches

@@ -6,7 +6,6 @@ import pytest
 from upatl.checker import (
     EvalContext,
     Verdict,
-    _first_choices,
     and3,
     canonical_assignment,
     check_state,
@@ -29,9 +28,9 @@ from upatl.oracle import (
     formula_templates,
     generate_random_game,
 )
-from upatl.trace import Path, complete_assignments
+from upatl.trace import Path, complete_assignments, outcomes_bounded
 
-from helpers import all_paths, first_winning_tree, path_of
+from helpers import all_paths, first_winning_tree, path_of, reference_temporal
 
 T, F, U = Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN
 
@@ -189,7 +188,11 @@ class TestStrategyTreeEnumeration:
     def test_deep_tree_does_not_exhaust_the_call_stack(self, g_hand):
         # At depth 10 the observer's single tree decides 1,364 histories.
         first = next(enumerate_strategy_trees(g_hand, 0, frozenset({0}), 10))
-        assert first.decisions == _first_choices(g_hand, (0,), [(0,)], 10)
+        f = parse_formula("<<obs>> N leftHit", g_hand)
+        ctx = ctx_at(g_hand, path_of(g_hand, "s0"), horizon=10)
+        tree, _ = find_falsifying_pair(ctx, f.coalition, f.goal)
+        assert len(first.decisions) == 1364
+        assert tree.decisions == first.decisions
 
 
 class TestStrategic:
@@ -252,7 +255,7 @@ class TestStrategic:
             )
             for seed in range(10)
         ]
-        witnesses = 0
+        witnesses = falsifiers = 0
         for game in games:
             lam = canonical_assignment(game)
             # The reference enumerates trees one by one; with three agents
@@ -270,7 +273,26 @@ class TestStrategic:
                         if got is not None:
                             assert got.decisions == want.decisions
                             witnesses += 1
-        assert witnesses > 100
+                        if eval_strategic(ctx, f.coalition, f.goal) is not F:
+                            continue
+                        # The falsifier: the first tree, and its first FALSE
+                        # outcome in action order.
+                        tree, outcome = find_falsifying_pair(
+                            ctx, f.coalition, f.goal
+                        )
+                        first = next(
+                            enumerate_strategy_trees(game, q, f.coalition, horizon)
+                        )
+                        assert tree.decisions == first.decisions
+                        outcomes = outcomes_bounded(game, Path((q,)), first, horizon)
+                        wrong = [
+                            p
+                            for p in sorted(outcomes, key=lambda p: p.actions)
+                            if reference_temporal(ctx, f.goal, p) is F
+                        ]
+                        assert outcome == (wrong[0] if wrong else None)
+                        falsifiers += 1
+        assert witnesses > 100 and falsifiers > 100
 
     def test_falsifying_pair_on_false_verdict(self, g_hand):
         f = parse_formula("<<opp>> N (leftHit & rightHit)", g_hand)

@@ -7,7 +7,13 @@ import jsonschema
 import pytest
 
 from upatl import cli
-from upatl.checker import EvalContext, Verdict, canonical_assignment, eval_temporal
+from upatl.checker import (
+    MAX_SEARCH_DEPTH,
+    EvalContext,
+    Verdict,
+    canonical_assignment,
+    eval_temporal,
+)
 from upatl.cli import main
 from upatl.formula import parse_formula
 from upatl.gamespec import canonical_form, load_game
@@ -378,6 +384,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", HAND, "-f", "!" * 5000 + "start")
         assert code == 65
         assert "nests too deeply" in err and "offset" in err
+
+    @pytest.mark.parametrize(
+        "formula, nesting",
+        [
+            ("<<opp>> G start", 1),
+            ("<<opp>> G <<opp>> G start", 2),
+            # The deepest formulas the parser accepts around the searches.
+            ("!" * 95 + "(<<opp>> G start)", 1),
+            ("!" * 45 + "(<<opp>> G " + "!" * 45 + "(<<opp>> G start))", 2),
+        ],
+    )
+    def test_search_depth_limit(self, capsys, formula, nesting):
+        at = MAX_SEARCH_DEPTH // nesting
+        code, out, _ = run(capsys, "check", MIX, "-f", formula, "-k", str(at))
+        assert code == 2 and out == "UNKNOWN\n"
+        code, _, err = run(capsys, "check", MIX, "-f", formula, "-k", str(at + 1))
+        assert code == 64 and f"search depth limit {MAX_SEARCH_DEPTH}" in err
 
     def test_engine_value_error_is_internal(self, capsys, monkeypatch):
         def broken(ctx, f):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -12,6 +13,7 @@ from upatl.model import (
     ProtocolError,
     validate_structure,
 )
+from upatl.oracle import GeneratorParams, generate_random_game
 
 
 def names(game, ids):
@@ -148,6 +150,30 @@ class TestMoves:
         mutant = dataclasses.replace(g_hand, transitions=trans)
         with pytest.raises(MissingTransitionError):
             mutant.successor(*key)
+
+    def test_choices_partition_moves_by_coalition_choice(self, g_hand, g_mix):
+        three = generate_random_game(GeneratorParams(seed=4, states=4, agents=3))
+        for game in (g_hand, g_mix, three):
+            for size in range(game.agent_count + 1):
+                for members in itertools.combinations(game.agents, size):
+                    for q in game.states:
+                        table = game.choices(q, members)
+                        assert list(table) == list(
+                            itertools.product(
+                                *(sorted(game.protocols[a][q]) for a in members)
+                            )
+                        )
+                        for choice, moves in table.items():
+                            assert moves == tuple(
+                                move
+                                for move in game.moves(q)
+                                if tuple(move[0][a] for a in members) == choice
+                            )
+                        allowed = [m for ms in table.values() for m in ms]
+                        assert sorted(allowed) == sorted(game.moves(q))
+            assert game.choices(0, ()) == {(): game.moves(0)}
+            copy = dataclasses.replace(game, name="copy")
+            assert game._choices and not copy._choices
 
     def test_progression_gives_total_successors(self, g_hand, g_mix):
         for game in (g_hand, g_mix):

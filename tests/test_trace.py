@@ -281,6 +281,16 @@ class TestOutcomes:
         with pytest.raises(ValueError, match="invalid strategy tree"):
             outcomes_bounded(g_hand, path_of(g_hand, "s0"), tree, 2)
 
+    def test_every_reachable_history_needs_a_decision(self, g_hand):
+        # Watching at s0 lets opp serve, swingL or swingR, so the tree must
+        # decide at s0 s0, s0 s1 and s0 s2.
+        obs = g_hand.agent_names.index("obs")
+        watch = g_hand.action_names.index("watch")
+        tree = StrategyTree(frozenset({obs}), 0, 2, {(0,): (watch,), (0, 0): (watch,)})
+        assert sorted(validate_strategy_tree(g_hand, tree)) == [
+            f"no decision for reachable history s0 {name}" for name in ("s1", "s2")
+        ]
+
     def test_pivot_mismatch(self, g_hand):
         tree = opp_tree(g_hand, {("s0",): "swingL"}, depth=1)
         with pytest.raises(ValueError, match="pivot"):
