@@ -238,6 +238,11 @@ def _knowers(f) -> set[AgentId]:
 MAX_SEARCH_DEPTH = 300
 
 
+class SearchDepthError(ValueError):
+    """The horizon times the formula's strategic nesting exceeds
+    ``MAX_SEARCH_DEPTH``."""
+
+
 def strategic_nesting(f: fm.PathFormula) -> int:
     """The most strategic operators nested on one branch of ``f``."""
     return max(nesting for _, nesting in _nodes(f))
@@ -423,7 +428,16 @@ def _evaluator(ctx: EvalContext, formula) -> Evaluator:
 
 def eval_path_formula(ctx: EvalContext, f: fm.PathFormula) -> Verdict:
     """The verdict of ``f`` at ``ctx``; a top-level ``K`` is answered by
-    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``."""
+    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``.
+
+    Raises ``SearchDepthError`` when the search would run deeper than
+    ``MAX_SEARCH_DEPTH``."""
+    nesting = strategic_nesting(f)
+    if ctx.horizon * nesting > MAX_SEARCH_DEPTH:
+        raise SearchDepthError(
+            f"horizon {ctx.horizon} times strategic nesting {nesting} exceeds "
+            f"the search depth limit {MAX_SEARCH_DEPTH}"
+        )
     if isinstance(f, fm.Know):
         return lift(
             eval_knowledge(ctx.game, ctx.path, ctx.index, f.agent, f.body)

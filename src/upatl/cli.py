@@ -1,31 +1,32 @@
 """Command-line front end: validation, checking, and exploration.
 
 Exit codes: 0 for TRUE or plain success, 1 for FALSE, 2 for UNKNOWN, 64 for
-usage errors, 65 for parse or bind errors, 70 for internal failures.  All
-diagnostics go to stderr; results go to stdout.  ``--format json`` emits one
-self-contained JSON document instead of the textual report (see README for
-the schema).
+usage errors, 65 for parse or bind errors, 70 for internal failures, 141 when
+the reader closes stdout.  All diagnostics go to stderr; results go to
+stdout.  ``--format json`` emits one self-contained JSON document instead of
+the textual report (see README for the schema).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 import time
 
 from . import formula as fm
 from .checker import (
-    MAX_SEARCH_DEPTH,
     EvalContext,
     Evaluator,
+    SearchDepthError,
     Verdict,
     canonical_assignment,
     eval_path_formula,
     find_falsifying_pair,
     find_winning_strategy,
-    strategic_nesting,
 )
 from .formula import FormulaError, parse_formula, render_formula
 from .gamespec import (
@@ -52,6 +53,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INPUT = 65
 EXIT_INTERNAL = 70
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a closed pipe
 
 VERDICT_EXIT = {
     Verdict.TRUE: EXIT_TRUE,
@@ -245,8 +247,48 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
     return tree
 
 
-def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True))
+# The string encoder ``json.dumps`` uses, in C where available.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(value, out: list[str], indent: str) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
+    renders it; ``indent`` is a newline and the current indentation."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out += (separator, _encode_str(key), ": ")
+            _json_parts(value[key], out, inner)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _json_parts(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def _emit_json(document) -> None:
+    out: list[str] = []
+    _json_parts(document, out, "\n")
+    sys.stdout.write("".join(out))
+    # Written apart: a large write that a closed pipe cuts short can end
+    # without an error, and only the next write reports the closed pipe.
+    sys.stdout.write("\n")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -282,12 +324,6 @@ def _cmd_check(args) -> int:
     game = _read_game(args.game)
     f = parse_formula(args.formula, game)
     state = _state_id(game, args.state)
-    nesting = strategic_nesting(f)
-    if args.horizon * nesting > MAX_SEARCH_DEPTH:
-        raise UsageError(
-            f"horizon {args.horizon} times strategic nesting {nesting} exceeds "
-            f"the search depth limit {MAX_SEARCH_DEPTH}"
-        )
     started = time.perf_counter()
     ctx = EvalContext(
         game=game,
@@ -470,7 +506,10 @@ def _cmd_gen(args) -> int:
     return EXIT_TRUE
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and then reused; ``parse_args`` makes a
+    fresh namespace on every call, so calls share no state."""
     parser = _Parser(
         prog="upatl",
         description="Bounded checking of strategic and capacity-knowledge "
@@ -541,18 +580,26 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if getattr(args, "horizon", 0) < 0:
             raise UsageError("horizon must be nonnegative")
-        return args.func(args)
-    except UsageError as err:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except (UsageError, SearchDepthError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (GameSpecError, FormulaError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader has gone; point stdout at the null device so that the
+        # interpreter's final flush of what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except Exception as err:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {err!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from upatl.checker import (
+    MAX_SEARCH_DEPTH,
     EvalContext,
+    SearchDepthError,
     Verdict,
     and3,
     canonical_assignment,
@@ -395,6 +397,16 @@ class TestCheckState:
                         for lam in complete_assignments(game)
                     }
                     assert len(verdicts) == 1
+
+    @pytest.mark.parametrize(
+        "text, nesting", [("<<opp>> G start", 1), ("<<opp>> G <<opp>> G start", 2)]
+    )
+    def test_search_depth_limit(self, g_mix, text, nesting):
+        f = parse_formula(text, g_mix)
+        at = MAX_SEARCH_DEPTH // nesting
+        assert check_state(g_mix, 0, f, at) is U
+        with pytest.raises(SearchDepthError, match="search depth limit"):
+            check_state(g_mix, 0, f, at + 1)
 
 
 class TestOracleAgreement:

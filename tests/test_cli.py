@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path as FsPath
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from upatl import cli
 from upatl.checker import (
@@ -452,3 +456,154 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", str(target), "-f", "start")
         assert code == 64
         assert "init" in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "fmt, horizon, first",
+        [("text", 10, b"FALSE\n"), ("json", 10, b"{\n"), ("text", 1, None)],
+    )
+    def test_closed_stdout_exits_like_sigpipe(self, fmt, horizon, first, unbuffered):
+        # The k=10 falsifier is far larger than a pipe's buffer, so writing it
+        # fails once the reader has gone; unbuffered, a write cut short can
+        # end without an error.  The k=1 record fits in the buffer, so with
+        # the reader gone before it is written, only a flush reveals it.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "upatl.cli", "check", MIX,
+             "-f", "<<obs>> N leftHit", "-k", str(horizon), "--format", fmt],
+            cwd=FsPath(cli.__file__).parent.parent, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            if first is not None:
+                assert proc.stdout.readline() == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
+
+
+def emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(value)
+    return out.getvalue()
+
+
+# Lowercase letters, punctuation (quotes, backslash), control characters,
+# lone surrogates and symbols, ASCII and beyond.
+_text = st.text(st.characters(categories=("Ll", "Po", "Cc", "Cs", "So")))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-7])
+    | _text,
+    lambda children: st.lists(children) | st.dictionaries(_text, children),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    @example({"\ud800k": ['"\\\x00\u00e9\U0001f600', -0.0, 1e-7, {}, [], None, True]})
+    def test_matches_indented_json_dumps(self, value):
+        assert emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_certificate_600_levels_deep(self):
+        # Horizon 300: each step nests a node and its children.
+        node = {"actions": {"opp": "serve"}, "children": {}}
+        for _ in range(300):
+            node = {"actions": {"opp": "swingL"}, "children": {"s0": node}}
+        record = {
+            "command": "check",
+            "witness": {"coalition": ["opp"], "depth": 300, "pivot": "s0", "root": node},
+        }
+        assert emitted(record) == json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def strategy_file(tmp_path) -> str:
+    target = tmp_path / "swing.json"
+    target.write_text(
+        json.dumps(
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 2,
+                "root": {
+                    "actions": {"opp": "swingL"},
+                    "children": {"s1": {"actions": {"opp": "serve"}, "children": {}}},
+                },
+            }
+        )
+    )
+    return str(target)
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", HAND], 0),
+            (["check", HAND, "-f", "<<opp>> N leftHit", "-s", "s0", "-k", "1"], 0),
+            (["check", HAND, "-f", "<<opp>> N (leftHit & rightHit)", "-k", "1"], 1),
+            (["check", HAND, "-f", "<<obs>> F (K[obs](opp=lefty) | K[obs](opp=righty))", "-k", "4"], 2),
+            (["compat", HAND, "-p", "s0 (watch,swingL) s1"], 0),
+            (["classes", HAND, "-p", "s0 (watch,swingL) s1", "-a", "obs"], 0),
+            (["outcomes", HAND, "-p", "s0", "--strategy", None, "-k", "2"], 0),
+            (["fmt", HAND], 0),
+            (["fmt", HAND, "-f", "start -> <<opp>> F leftHit"], 0),
+            (["gen", "--seed", "7"], 0),
+        ],
+    )
+    def test_every_command_writes_indented_sorted_json(self, capsys, tmp_path, argv, code):
+        argv = [strategy_file(tmp_path) if a is None else a for a in argv]
+        got, out, _ = run(capsys, *argv, "--format", "json")
+        assert got == code
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_state(self, capsys):
+        fresh = cli.build_parser.__wrapped__()
+        argv = ["check", HAND, "-f", "start", "-k", "0"]
+        sequence = [
+            ["gen", "--seed", "3", "--states", "4", "--format", "json"],
+            ["check", HAND, "-f", "start", "-s", "s1", "-k", "0", "--format", "json"],
+            ["check", HAND, "-k", "0"],
+            ["check", HAND, "-f", "start", "--format", "yaml"],
+        ]
+        for previous in sequence:
+            run(capsys, *previous)
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_state_option_does_not_stick(self, capsys):
+        code, out, _ = run(
+            capsys, "check", HAND, "-f", "start", "-s", "s1", "-k", "0", "--format", "json"
+        )
+        assert code == 1 and json.loads(out)["state"] == "s1"
+        code, out, _ = run(capsys, "check", HAND, "-f", "start", "-k", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["state"] == "s0"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, _, err = run(capsys, "check", HAND, "-k", "0")
+        assert code == 64 and "--formula" in err
+        code, out, err = run(capsys, "check", HAND, "-f", "start", "-k", "0")
+        assert (code, out, err) == (0, "TRUE\n", "")
+
+    def test_gen_then_check(self, capsys):
+        code, out, _ = run(capsys, "gen", "--seed", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == "gen"
+        code, out, err = run(capsys, "check", HAND, "-f", "start", "-k", "0")
+        assert (code, out, err) == (0, "TRUE\n", "")
