@@ -15,6 +15,8 @@ for a winning tree, the other for a tree that escapes falsification; the
 verdict takes at most one pass of each.  Certificates come from one walk
 over the first: a greedy walk yields the witness, and the same walk started
 without live branches yields the falsifier's tree, the first tree of all.
+The falsifier's outcome is found by a depth-first walk over that tree's
+outcomes that stops at the first FALSE one.
 ``enumerate_strategy_trees`` materializes trees in the canonical order that
 witnesses and falsifiers are first in.  The search, the walk and the
 enumeration read a coalition's choices at a state, each with the moves it
@@ -81,7 +83,7 @@ from .trace import (
     History,
     Path,
     StrategyTree,
-    outcomes_bounded,
+    validate_strategy_tree,
 )
 
 
@@ -641,16 +643,21 @@ class _Search:
         while queue:
             history, branches, own = queue.popleft()
             twos -= own == 2
-            for choice, moves in game.choices(history[-1], self.members).items():
-                groups = self.expand(branches, moves)
-                ranks = self.child_ranks(len(history), groups, self.won)
-                if ranks is None:
-                    continue
-                gained = sum(got == 2 for got in ranks.values())
-                if twos + gained > 0 or not branches:
-                    break
+            choices = game.choices(history[-1], self.members).items()
+            if not branches:
+                choice, moves = next(iter(choices))
+                groups, ranks, gained = {}, {}, 0
             else:
-                return None  # only the root can lack a winning choice
+                for choice, moves in choices:
+                    groups = self.expand(branches, moves)
+                    ranks = self.child_ranks(len(history), groups, self.won)
+                    if ranks is None:
+                        continue
+                    gained = sum(got == 2 for got in ranks.values())
+                    if twos + gained > 0:
+                        break
+                else:
+                    return None  # only the root can lack a winning choice
             decisions[history] = choice
             twos += gained
             if len(history) < self.horizon:
@@ -663,6 +670,54 @@ class _Search:
                         )
                     )
         return decisions
+
+    def first_false_outcome(self, prefix: Path, tree: StrategyTree) -> Path | None:
+        """The first outcome of ``tree`` from ``prefix``, in action order,
+        whose goal is FALSE, or None if none is.
+
+        Walks the outcomes depth-first, each node's moves in action order, so
+        the first FALSE leaf reached is the first in action order.  A branch
+        is left as soon as no assignment is compatible with it or its goal is
+        decided other than FALSE.
+        """
+        evaluator, goal = self.evaluator, self.goal
+        game = evaluator.game
+        state = evaluator.fold(prefix, len(prefix.states))
+        if not state.alive:
+            return None
+        # Frames are (suffix history, abstract state, progress, joint action
+        # that led there); ``joints`` holds the joint actions of the frame
+        # being visited, from the pivot.
+        stack = [((tree.pivot,), state, evaluator.begin(goal, state), None)]
+        joints: list = []
+        while stack:
+            history, state, progress, joint = stack.pop()
+            depth = len(history) - 1
+            if depth:
+                del joints[depth - 1 :]
+                joints.append(joint)
+            decided = progress is not None and progress[1] is Verdict.FALSE
+            if depth == self.horizon:
+                if _final(progress) is Verdict.FALSE:
+                    return Path(
+                        prefix.states + history[1:], prefix.actions + tuple(joints)
+                    )
+            elif not decided or progress[0] is Verdict.FALSE:
+                moves = game.choices(history[-1], self.members)[
+                    tree.prescription(history)
+                ]
+                for joint, _, target in reversed(moves):
+                    after = evaluator.step(state, joint, target)
+                    if after.alive:
+                        stack.append(
+                            (
+                                history + (target,),
+                                after,
+                                evaluator.advance(goal, progress, after),
+                                joint,
+                            )
+                        )
+        return None
 
 
 def eval_strategic(
@@ -761,24 +816,25 @@ def find_falsifying_pair(
     goal: fm.TemporalFormula,
 ) -> tuple[StrategyTree, Path | None]:
     """The first tree in enumeration order, with its first FALSE outcome in
-    action order, or with none when its outcomes are pruned empty.
+    action order, or with none when no outcome is FALSE.
 
     Meaningful when the strategic verdict is FALSE: then every tree is
-    falsified, so the first one is taken.  It is the witness walk started
-    without live branches.
+    falsified, so the first one is taken, and it has a FALSE outcome unless
+    its outcomes are pruned empty.  The tree is the witness walk started
+    without live branches; the outcome is found depth-first
+    (``_Search.first_false_outcome``).  Raises ``ValueError`` if the tree
+    fails ``validate_strategy_tree``.
     """
     evaluator = _evaluator(ctx, goal)
+    search = evaluator.search(coalition, goal)
     prefix = ctx.path.prefix(ctx.index)
     pivot = prefix.last_state
-    decisions = evaluator.search(coalition, goal).first_tree(pivot, frozenset())
+    decisions = search.first_tree(pivot, frozenset())
     tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
-    for outcome in sorted(
-        outcomes_bounded(ctx.game, prefix, tree, ctx.horizon),
-        key=lambda p: p.actions,
-    ):
-        if evaluator.outcome_verdict(goal, outcome, ctx.index) is Verdict.FALSE:
-            return tree, outcome
-    return tree, None
+    problems = validate_strategy_tree(ctx.game, tree)
+    if problems:
+        raise ValueError("invalid strategy tree: " + "; ".join(problems))
+    return tree, search.first_false_outcome(prefix, tree)
 
 
 # -- state checking -----------------------------------------------------------

@@ -176,28 +176,78 @@ def _tree_text(game: GameStructure, tree: StrategyTree) -> list[str]:
     return lines
 
 
-def _tree_json(game: GameStructure, tree: StrategyTree) -> dict:
-    root = (tree.pivot,)
-    nodes = {
-        history: {
-            "actions": {
-                game.agent_names[a]: game.action_names[x]
-                for a, x in zip(tree.agents, tree.decisions.get(history, ()))
-            },
-            "children": {},
-        }
-        for history in [root, *tree.decisions]
-    }
-    for history, node in nodes.items():
-        parent = nodes.get(history[:-1])
-        if parent is not None:
-            parent["children"][game.state_names[history[-1]]] = node
+def _tree_record(game: GameStructure, tree: StrategyTree) -> dict:
+    """The tree's JSON record; its root node is written by ``_write_nodes``."""
     return {
         "coalition": [game.agent_names[a] for a in tree.agents],
         "pivot": game.state_names[tree.pivot],
         "depth": tree.depth,
-        "root": nodes[root],
+        "root": functools.partial(_write_nodes, game, tree),
     }
+
+
+def _write_nodes(
+    game: GameStructure, tree: StrategyTree, out: list[str], indent: str
+) -> None:
+    """Append the tree's root node as ``_json_parts`` appends a nested object,
+    straight from ``tree.decisions``.  Each node is ``{"actions": {agent:
+    action}, "children": {state: node}}``; a history without a decision has
+    no actions."""
+    decisions = tree.decisions
+    agents = tree.agents
+    # Coalition positions in the order of their agents' names, the key order.
+    order = sorted(range(len(agents)), key=lambda i: game.agent_names[agents[i]])
+    agent_keys = [_encode_str(game.agent_names[agents[i]]) + ": " for i in order]
+    state_keys = [_encode_str(name) + ": " for name in game.state_names]
+    children: dict[tuple[int, ...], list[int]] = {}
+    for history in decisions:
+        if len(history) > 1:
+            children.setdefault(history[:-1], []).append(history[-1])
+    # Per node depth, the indentation and separators every node at it shares.
+    levels: list[tuple[str, ...]] = []
+    # Per depth and decision, the text of a node up to its children.
+    heads: dict[tuple, str] = {}
+    # Nodes to write, as (history, depth), and text to append between them.
+    stack: list = [((tree.pivot,), 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        history, depth = item
+        if depth == len(levels):
+            keys = indent + "  " * (2 * depth + 1)  # the node's own keys
+            entry = keys + "  "  # the entries of its actions and children
+            closing = keys[:-2] + "}"
+            levels.append(
+                (keys, "{" + entry, "," + entry, keys + "}" + closing, "{}" + closing)
+            )
+        keys, first, then, end, leaf_end = levels[depth]
+        decision = decisions.get(history, ())
+        head = heads.get((depth, decision))
+        if head is None:
+            actions = "{}"
+            if decision:
+                actions = "".join(
+                    (then if n else first)
+                    + agent_keys[n]
+                    + _encode_str(game.action_names[decision[i]])
+                    for n, i in enumerate(order)
+                ) + keys + "}"
+            head = heads[(depth, decision)] = (
+                "{" + keys + '"actions": ' + actions + "," + keys + '"children": '
+            )
+        out.append(head)
+        below = children.get(history)
+        if not below:
+            out.append(leaf_end)
+            continue
+        # Popped in key order: separator, state, child node; then the end.
+        stack.append(end)
+        below = sorted(below, key=game.state_names.__getitem__)
+        for n in range(len(below) - 1, -1, -1):
+            q = below[n]
+            stack += ((history + (q,), depth + 1), state_keys[q], then if n else first)
 
 
 def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
@@ -253,7 +303,8 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _json_parts(value, out: list[str], indent: str) -> None:
     """Append ``value`` as ``json.dumps(value, indent=2, sort_keys=True)``
-    renders it; ``indent`` is a newline and the current indentation."""
+    renders it; ``indent`` is a newline and the current indentation.  A
+    callable value is a writer, called as ``value(out, indent)``."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
@@ -278,6 +329,8 @@ def _json_parts(value, out: list[str], indent: str) -> None:
             _json_parts(item, out, inner)
             separator = "," + inner
         out.append(indent + "]")
+    elif callable(value):
+        value(out, indent)
     else:
         out.append(json.dumps(value))
 
@@ -353,11 +406,11 @@ def _cmd_check(args) -> int:
                 "verdict": verdict.value,
                 "witness": None
                 if witness is None
-                else _tree_json(game, witness),
+                else _tree_record(game, witness),
                 "falsifying": None
                 if falsifying is None
                 else {
-                    "strategy": _tree_json(game, falsifying[0]),
+                    "strategy": _tree_record(game, falsifying[0]),
                     "outcome": None
                     if falsifying[1] is None
                     else _path_json(game, falsifying[1]),

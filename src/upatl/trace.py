@@ -180,9 +180,6 @@ class StrategyTree:
             return ()
         return self.decisions.get(history)
 
-    def action_of(self, agent: AgentId, history: History) -> ActionId:
-        return self.decisions[history][self.agents.index(agent)]
-
 
 def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]:
     """Check protocol conformance and totality on reachable suffix histories."""

@@ -80,6 +80,48 @@ def first_winning_tree(
     return None
 
 
+def reference_tree_json(game: GameStructure, tree: StrategyTree) -> dict:
+    """Reference JSON form of a strategy tree, as nested dicts: each node is
+    ``{"actions": {agent: action}, "children": {state: node}}``.  The CLI
+    writes the same bytes without building them."""
+    root = (tree.pivot,)
+    nodes = {
+        history: {
+            "actions": {
+                game.agent_names[a]: game.action_names[x]
+                for a, x in zip(tree.agents, tree.decisions.get(history, ()))
+            },
+            "children": {},
+        }
+        for history in [root, *tree.decisions]
+    }
+    for history, node in nodes.items():
+        parent = nodes.get(history[:-1])
+        if parent is not None:
+            parent["children"][game.state_names[history[-1]]] = node
+    return {
+        "coalition": [game.agent_names[a] for a in tree.agents],
+        "pivot": game.state_names[tree.pivot],
+        "depth": tree.depth,
+        "root": nodes[root],
+    }
+
+
+def drop_deepest_decision(monkeypatch) -> None:
+    """Make the certificate walk leave out a deepest decision, so that the
+    trees it yields fail ``validate_strategy_tree``."""
+    from upatl import checker
+
+    first_tree = checker._Search.first_tree
+
+    def dropped(search, pivot, start):
+        decisions = first_tree(search, pivot, start)
+        decisions.pop(max(decisions, key=len))
+        return decisions
+
+    monkeypatch.setattr(checker._Search, "first_tree", dropped)
+
+
 def reference_knowledge(
     game: GameStructure, path: Path, index: int, agent: int, body: CapFormula
 ) -> bool:

@@ -32,7 +32,13 @@ from upatl.oracle import (
 )
 from upatl.trace import Path, complete_assignments, outcomes_bounded
 
-from helpers import all_paths, first_winning_tree, path_of, reference_temporal
+from helpers import (
+    all_paths,
+    drop_deepest_decision,
+    first_winning_tree,
+    path_of,
+    reference_temporal,
+)
 
 T, F, U = Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN
 
@@ -365,6 +371,96 @@ class TestPruningRescue:
         f = parse_formula("<<opp>> N (leftHit & rightHit)", g_hand)
         for k in (1, 2, 3):
             assert check_state(g_hand, 0, f, k) is F
+
+
+class TestFalsifier:
+    """``find_falsifying_pair`` finds its outcome depth-first; the reference
+    route builds every outcome with ``outcomes_bounded``, sorts them by
+    actions and takes the first that ``reference_temporal`` makes FALSE."""
+
+    @staticmethod
+    def reference_outcome(ctx, goal, tree):
+        prefix = ctx.path.prefix(ctx.index)
+        outcomes = outcomes_bounded(ctx.game, prefix, tree, ctx.horizon)
+        for outcome in sorted(outcomes, key=lambda p: p.actions):
+            if reference_temporal(ctx, goal, outcome) is F:
+                return outcome
+        return None
+
+    def test_matches_reference_from_mid_path_prefixes(self, g_hand, g_mix, g_censor):
+        games = [g_hand, g_mix, g_censor] + [
+            generate_random_game(GeneratorParams(seed=seed, states=3, agents=2))
+            for seed in range(4)
+        ]
+        found = empty = 0
+        for game in games:
+            lam = canonical_assignment(game)
+            strategic = [
+                f
+                for f in formula_templates(game, include_deep=False)
+                if isinstance(f, Strat)
+            ]
+            for q in game.states:
+                for rho in all_paths(game, q, 2):
+                    for index in (2, 3):
+                        for horizon in (0, 1, 2):
+                            ctx = EvalContext(game, rho, index, lam, horizon)
+                            for f in strategic:
+                                tree, outcome = find_falsifying_pair(
+                                    ctx, f.coalition, f.goal
+                                )
+                                first = next(
+                                    enumerate_strategy_trees(
+                                        game, rho.states[index - 1], f.coalition, horizon
+                                    )
+                                )
+                                assert tree.decisions == first.decisions
+                                want = self.reference_outcome(ctx, f.goal, tree)
+                                assert outcome == want
+                                found += outcome is not None
+                                empty += outcome is None
+        assert found > 1000 and empty > 1000
+
+    def test_prefix_without_compatible_assignment_has_no_outcome(self, g_mix):
+        # swingL then swingR: no capacity of the opponent licenses both.
+        rho = path_of(
+            g_mix, "s0", ("watch", "swingL"), "s1", ("watch", "swingR"), "s2"
+        )
+        for text in ("<<opp>> N leftHit", "<<obs>> G start", "<<>> F rightHit"):
+            f = parse_formula(text, g_mix)
+            for horizon in (0, 1, 3):
+                ctx = ctx_at(g_mix, rho, index=3, horizon=horizon)
+                assert eval_strategic(ctx, f.coalition, f.goal) is F
+                tree, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
+                assert outcome is None
+                assert self.reference_outcome(ctx, f.goal, tree) is None
+
+    def test_invalid_tree_raises(self, g_hand, monkeypatch):
+        drop_deepest_decision(monkeypatch)
+        f = parse_formula("<<obs>> N leftHit", g_hand)
+        ctx = ctx_at(g_hand, path_of(g_hand, "s0"), horizon=3)
+        with pytest.raises(ValueError, match="invalid strategy tree"):
+            find_falsifying_pair(ctx, f.coalition, f.goal)
+
+    def test_never_builds_every_outcome(self, g_hand, g_mix, monkeypatch):
+        from upatl import checker, trace
+
+        def refuse(*args):
+            raise AssertionError("outcomes_bounded called")
+
+        monkeypatch.setattr(trace, "outcomes_bounded", refuse)
+        monkeypatch.setattr(checker, "outcomes_bounded", refuse, raising=False)
+        for game, text, horizon in [
+            (g_hand, "<<obs>> N leftHit", 8),
+            (g_mix, "<<obs>> N K[obs](opp=righty)", 6),
+            (g_hand, "<<opp>> N (leftHit & rightHit)", 2),
+        ]:
+            f = parse_formula(text, game)
+            ctx = ctx_at(game, path_of(game, "s0"), horizon=horizon)
+            assert eval_strategic(ctx, f.coalition, f.goal) is F
+            _, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
+            assert outcome is not None
+            assert eval_temporal(ctx, f.goal, outcome) is F
 
 
 class TestCheckState:

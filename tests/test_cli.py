@@ -14,14 +14,21 @@ from upatl import cli
 from upatl.checker import (
     MAX_SEARCH_DEPTH,
     EvalContext,
+    Evaluator,
     Verdict,
     canonical_assignment,
+    eval_path_formula,
     eval_temporal,
+    find_falsifying_pair,
+    find_winning_strategy,
 )
 from upatl.cli import main
-from upatl.formula import parse_formula
+from upatl.formula import Strat, parse_formula
 from upatl.gamespec import canonical_form, load_game
+from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
 from upatl.trace import Path, outcomes_bounded
+
+from helpers import drop_deepest_decision, reference_tree_json
 
 GAMES_DIR = FsPath(__file__).parent.parent / "games"
 HAND = str(GAMES_DIR / "hand.game")
@@ -206,6 +213,12 @@ class TestDeepCertificates:
         record = json.loads(out)
         outcome = record["falsifying"]["outcome"]
         assert (outcome, Verdict.FALSE) in recheck(game_file, formula, 10, record)
+
+    def test_invalid_falsifier_tree_is_an_engine_error(self, capsys, monkeypatch):
+        drop_deepest_decision(monkeypatch)
+        code, out, err = run(capsys, "check", HAND, "-f", "<<obs>> N leftHit", "-k", "3")
+        assert (code, out) == (70, "")
+        assert "invalid strategy tree" in err
 
     def test_true_at_k14_has_witness(self, capsys):
         formula = "<<opp>> N rightHit"
@@ -528,6 +541,101 @@ class TestJsonWriter:
             "witness": {"coalition": ["opp"], "depth": 300, "pivot": "s0", "root": node},
         }
         assert emitted(record) == json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def reversed_names_game():
+    """Two agents, capacities and states whose names sort opposite to their
+    declaration order, so that the JSON key order differs from it."""
+    from upatl.model import build_game
+
+    states = ["sz", "sm", "sa"]
+    # The joint action (zeta's, alpha's) picks the successor, from any state.
+    successor = {("zz", "yy"): "sa", ("zz", "bb"): "sm", ("aa", "yy"): "sz", ("aa", "bb"): "sa"}
+    return build_game(
+        name="reversed",
+        agents=["zeta", "alpha"],
+        capacities={"zeta": ["kz"], "alpha": ["ky", "kx"]},
+        actions={"kz": ["zz", "aa"], "ky": ["yy", "bb"], "kx": ["yy"]},
+        states=states,
+        labels={"sa": ["pa"], "sz": ["pz"]},
+        protocol={
+            (agent, q): moves
+            for q in states
+            for agent, moves in (("zeta", ["zz", "aa"]), ("alpha", ["yy", "bb"]))
+        },
+        transitions={(q, joint): t for q in states for joint, t in successor.items()},
+    )
+
+
+def certificates(game, horizons):
+    """(kind, tree) for every witness and falsifier tree ``check`` prints
+    for the game's strategic formula templates, from every state."""
+    lam = canonical_assignment(game)
+    for f in formula_templates(game):
+        if not isinstance(f, Strat):
+            continue
+        for horizon in horizons:
+            for q in game.states:
+                ctx = EvalContext(
+                    game, Path((q,)), 1, lam, horizon, Evaluator(game, horizon, f)
+                )
+                verdict = eval_path_formula(ctx, f)
+                if verdict is Verdict.TRUE:
+                    yield "witness", find_winning_strategy(ctx, f.coalition, f.goal)
+                elif verdict is Verdict.FALSE:
+                    tree, _ = find_falsifying_pair(ctx, f.coalition, f.goal)
+                    yield "falsifier", tree
+
+
+class TestTreeWriter:
+    """Witness and falsifier trees are written straight from their decisions;
+    the bytes equal those of the nested-dict reference form."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["hand", "hand_mix", "gen2-0", "gen2-1", "gen3-0", "gen3-1", "reversed"],
+    )
+    def test_matches_reference_form(self, name, g_hand, g_mix):
+        if name.startswith("gen"):
+            agents, seed = int(name[3]), int(name[5:])
+            game = generate_random_game(
+                GeneratorParams(seed=seed, states=4, agents=agents)
+            )
+        elif name == "reversed":
+            game = reversed_names_game()
+        else:
+            game = g_hand if name == "hand" else g_mix
+        horizons = range(4 if game.agent_count < 3 else 3)
+        kinds = set()
+        for kind, tree in certificates(game, horizons):
+            # At the depths the check record nests witnesses and falsifiers.
+            for wrap in (
+                lambda tree_json: {"witness": tree_json},
+                lambda tree_json: {"falsifying": {"outcome": None, "strategy": tree_json}},
+            ):
+                want = wrap(reference_tree_json(game, tree))
+                got = emitted(wrap(cli._tree_record(game, tree)))
+                assert got == json.dumps(want, indent=2, sort_keys=True) + "\n"
+            kinds.add(kind)
+            kinds.add(f"depth {tree.depth}")
+            kinds.add(f"{len(tree.coalition)} agents")
+        deepest = f"depth {horizons[-1]}"
+        assert {"witness", "falsifier", "depth 0", deepest, "0 agents", "2 agents"} <= kinds
+
+    def test_key_order_differs_from_declaration_order(self):
+        game = reversed_names_game()
+        ctx = EvalContext(game, Path((0,)), 1, canonical_assignment(game), 2)
+        both = parse_formula("<<zeta, alpha>> N pa", game)
+        tree = find_winning_strategy(ctx, both.coalition, both.goal)
+        text = emitted(cli._tree_record(game, tree))
+        assert text == json.dumps(reference_tree_json(game, tree), indent=2, sort_keys=True) + "\n"
+        assert text.index('"alpha": ') < text.index('"zeta": ')
+        # zeta alone: alpha's two actions lead to sm and sa, declared in that order.
+        one = parse_formula("<<zeta>> N pa", game)
+        tree, _ = find_falsifying_pair(ctx, one.coalition, one.goal)
+        text = emitted(cli._tree_record(game, tree))
+        assert text == json.dumps(reference_tree_json(game, tree), indent=2, sort_keys=True) + "\n"
+        assert list(json.loads(text)["root"]["children"]) == ["sa", "sm"]
 
 
 def strategy_file(tmp_path) -> str:
