@@ -44,7 +44,6 @@ from .trace import (
     indistinguishability_class,
     outcomes_bounded,
     validate_path,
-    validate_strategy_tree,
 )
 
 EXIT_TRUE = 0
@@ -290,11 +289,7 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
 
     root = data.get("root", {"actions": {}, "children": {}})
     walk(root, (pivot,))
-    tree = StrategyTree(coalition, pivot, depth, decisions)
-    problems = validate_strategy_tree(game, tree)
-    if problems:
-        raise InputError("invalid strategy tree: " + "; ".join(problems))
-    return tree
+    return StrategyTree(coalition, pivot, depth, decisions)
 
 
 # The string encoder ``json.dumps`` uses, in C where available.

@@ -24,14 +24,13 @@ Line-oriented and diff-friendly:
 
 Comments start with ``#``.  Every section must appear exactly once except
 ``init``, which is optional metadata (the default state for state checking).
-``bind_game`` resolves names to a dense structure and then validates it;
-binding succeeds only on a clean report, and every diagnostic carries the
-line it points at.
+``bind_game`` checks names, builds the dense structure with
+``model.build_game`` and then validates it; binding succeeds only on a clean
+report, and every diagnostic carries the line it points at.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass, field
 
@@ -44,6 +43,7 @@ from .model import (
     SPURIOUS_TRANSITION,
     TRUE_PROP,
     GameStructure,
+    build_game,
     validate_structure,
 )
 
@@ -184,150 +184,109 @@ def parse_game(text: str) -> GameDocument:
     return doc
 
 
-def _index(
-    pairs: list[tuple[str, int]], what: str
-) -> dict[str, int]:
-    table: dict[str, int] = {}
+def _declare(pairs: list[tuple[str, int]], what: str) -> dict[str, None]:
+    """The declared names in order, as dict keys; a repeat is an error."""
+    names: dict[str, None] = {}
     for name, line in pairs:
-        if name in table:
+        if name in names:
             _fail(line, f"duplicate {what} {name!r}")
-        table[name] = len(table)
-    return table
+        names[name] = None
+    return names
 
 
 def bind_with_report(
     doc: GameDocument,
 ) -> tuple[GameStructure, list[Diagnostic]]:
-    """Resolve names and build the dense structure, returning the validation
-    report as span-carrying diagnostics instead of raising.
+    """Check names, build the structure with ``build_game``, and return the
+    validation report as span-carrying diagnostics instead of raising.
 
     Name-resolution problems (unknown or duplicate identifiers, malformed
     arities) are hard errors and still raise.
     """
-    agent_index = _index(doc.agents, "agent")
-    state_index = _index(doc.states, "state")
-    if not agent_index:
+    agents = _declare(doc.agents, "agent")
+    states = _declare(doc.states, "state")
+    if not agents:
         _fail(doc.section_lines["agents"], "at least one agent is required")
-    if not state_index:
+    if not states:
         _fail(doc.section_lines["states"], "at least one state is required")
 
-    cap_names: list[str] = []
-    cap_lines: dict[str, int] = {}
-    seen_agents: set[str] = set()
-    agent_caps: dict[str, list[str]] = {}
+    capacities: dict[str, list[str]] = {}
     for agent, caps, line in doc.capacities:
-        if agent not in agent_index:
+        if agent not in agents:
             _fail(line, f"unknown agent {agent!r}")
-        if agent in seen_agents:
+        if agent in capacities:
             _fail(line, f"duplicate capacities for agent {agent!r}")
-        seen_agents.add(agent)
-        agent_caps[agent] = caps
-        for cap in caps:
-            if cap not in cap_lines:
-                cap_lines[cap] = line
-                cap_names.append(cap)
-    cap_index = {n: i for i, n in enumerate(cap_names)}
+        capacities[agent] = caps
+    known_caps = {cap for caps in capacities.values() for cap in caps}
 
-    act_names: list[str] = []
-    cap_acts: dict[str, list[str]] = {}
+    actions: dict[str, list[str]] = {}
     for cap, acts, line in doc.actions:
-        if cap not in cap_index:
+        if cap not in known_caps:
             _fail(line, f"unknown capacity {cap!r}")
-        if cap in cap_acts:
+        if cap in actions:
             _fail(line, f"duplicate actions for capacity {cap!r}")
-        cap_acts[cap] = acts
-        for act in acts:
-            if act not in act_names:
-                act_names.append(act)
-    act_index = {n: i for i, n in enumerate(act_names)}
+        actions[cap] = acts
+    known_acts = {act for acts in actions.values() for act in acts}
 
-    prop_names: list[str] = []
-    label_map: dict[str, list[str]] = {}
+    labels: dict[str, list[str]] = {}
     for state, props, line in doc.labels:
-        if state not in state_index:
+        if state not in states:
             _fail(line, f"unknown state {state!r}")
-        if state in label_map:
+        if state in labels:
             _fail(line, f"duplicate labels for state {state!r}")
-        label_map[state] = props
         for prop in props:
             if prop in RESERVED_PROPS:
                 _fail(line, f"proposition name {prop!r} is reserved")
-            if prop not in prop_names:
-                prop_names.append(prop)
-    prop_names.append(TRUE_PROP)
-    true_id = len(prop_names) - 1
-    prop_index = {n: i for i, n in enumerate(prop_names)}
+        labels[state] = props
 
+    protocol: dict[tuple[str, str], list[str]] = {}
     proto_lines: dict[tuple[str, str], int] = {}
-    proto_map: dict[tuple[str, str], list[str]] = {}
     for agent, state, acts, line in doc.protocol:
-        if agent not in agent_index:
+        if agent not in agents:
             _fail(line, f"unknown agent {agent!r}")
-        if state not in state_index:
+        if state not in states:
             _fail(line, f"unknown state {state!r}")
-        if (agent, state) in proto_map:
+        if (agent, state) in protocol:
             _fail(line, f"duplicate protocol for {agent!r} at {state!r}")
         for act in acts:
-            if act not in act_index:
+            if act not in known_acts:
                 _fail(line, f"unknown action {act!r}")
-        proto_map[(agent, state)] = acts
+        protocol[(agent, state)] = acts
         proto_lines[(agent, state)] = line
 
-    trans_lines: dict[tuple[int, tuple[int, ...]], int] = {}
-    transitions: dict[tuple[int, tuple[int, ...]], int] = {}
+    transitions: dict[tuple[str, tuple[str, ...]], str] = {}
+    trans_lines: dict[tuple[str, tuple[str, ...]], int] = {}
     for source, joint, target, line in doc.transitions:
-        if source not in state_index or target not in state_index:
-            _fail(line, f"unknown state in transition at line {line}")
-        if len(joint) != len(agent_index):
+        for state in (source, target):
+            if state not in states:
+                _fail(line, f"unknown state {state!r}")
+        if len(joint) != len(agents):
             _fail(line, "joint action arity must equal the number of agents")
         for act in joint:
-            if act not in act_index:
+            if act not in known_acts:
                 _fail(line, f"unknown action {act!r}")
-        key = (state_index[source], tuple(act_index[a] for a in joint))
-        if key in transitions:
+        if (source, joint) in transitions:
             _fail(line, "duplicate transition")
-        transitions[key] = state_index[target]
-        trans_lines[key] = line
+        transitions[(source, joint)] = target
+        trans_lines[(source, joint)] = line
 
-    agents = [name for name, _ in doc.agents]
-    states = [name for name, _ in doc.states]
-    game = GameStructure(
-        name=doc.name,
-        agent_names=tuple(agents),
-        capacity_names=tuple(cap_names),
-        state_names=tuple(states),
-        prop_names=tuple(prop_names),
-        action_names=tuple(act_names),
-        labels=tuple(
-            frozenset(
-                {prop_index[p] for p in label_map.get(q, [])} | {true_id}
-            )
-            for q in states
-        ),
-        agent_capacities=tuple(
-            frozenset(cap_index[c] for c in agent_caps.get(a, []))
-            for a in agents
-        ),
-        capacity_actions=tuple(
-            frozenset(act_index[x] for x in cap_acts.get(c, []))
-            for c in cap_names
-        ),
-        protocols=tuple(
-            tuple(
-                frozenset(act_index[x] for x in proto_map.get((a, q), []))
-                for q in states
-            )
-            for a in agents
-        ),
-        transitions=transitions,
-        init_state=None,
-    )
-
+    init = None
     if doc.init is not None:
-        name, line = doc.init
-        if name not in state_index:
-            _fail(line, f"unknown init state {name!r}")
-        game = dataclasses.replace(game, init_state=state_index[name])
+        init, line = doc.init
+        if init not in states:
+            _fail(line, f"unknown init state {init!r}")
+
+    game = build_game(
+        name=doc.name,
+        agents=list(agents),
+        capacities=capacities,
+        actions=actions,
+        states=list(states),
+        labels=labels,
+        protocol=protocol,
+        transitions=transitions,
+        init=init,
+    )
 
     diagnostics = []
     for violation in validate_structure(game):
@@ -337,15 +296,18 @@ def bind_with_report(
             CAPACITY_MISSING_ACTION,
         ):
             key = (
-                agents[violation.agent],
-                states[violation.state],
+                game.agent_names[violation.agent],
+                game.state_names[violation.state],
             )
             line = proto_lines.get(key, doc.section_lines["protocol"])
         elif violation.kind == MISSING_TRANSITION:
             line = doc.section_lines["transitions"]
         elif violation.kind == SPURIOUS_TRANSITION:
             line = trans_lines.get(
-                (violation.state, violation.joint),
+                (
+                    game.state_names[violation.state],
+                    tuple(game.action_names[x] for x in violation.joint),
+                ),
                 doc.section_lines["transitions"],
             )
         elif violation.kind == EMPTY_CAPACITIES:

@@ -353,13 +353,16 @@ def build_game(
 ) -> GameStructure:
     """Intern a name-level description into a dense GameStructure.
 
-    Convenience constructor for fixtures and generators; the textual DSL has
-    its own span-aware binder.  Prop names are collected from the labels, and
-    the reserved always-true atom is appended and applied to every state.
+    The one constructor from names: fixtures, the generator and the game-file
+    binder (which checks every name, with its source line, first) all call
+    it.  Ids follow first appearance: capacities in the order of
+    ``capacities`` (then any only named in ``actions``), actions in the order
+    of ``actions``, props in the order of ``labels``; the reserved
+    always-true atom is appended and applied to every state.
     """
     cap_names: list[str] = []
-    for agent in agents:
-        for c in capacities.get(agent, []):
+    for caps in capacities.values():
+        for c in caps:
             if c not in cap_names:
                 cap_names.append(c)
     for c in actions:

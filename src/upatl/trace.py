@@ -139,16 +139,14 @@ def indistinguishability_class(
     Members with an empty compatible-assignment set are kept; knowledge
     evaluation quantifies over their assignments and skips them vacuously.
     """
-    step_choices: list[list[JointAction]] = []
-    for i, joint in enumerate(path.actions):
-        q, target = path.states[i], path.states[i + 1]
-        choices = [
+    step_choices = [
+        [
             other
-            for other in game.joint_actions(q)
-            if other[agent] == joint[agent]
-            and game.transitions.get((q, other)) == target
+            for other, _, successor in game.moves(path.states[i])
+            if other[agent] == joint[agent] and successor == path.states[i + 1]
         ]
-        step_choices.append(choices)
+        for i, joint in enumerate(path.actions)
+    ]
     return frozenset(
         Path(path.states, combo) for combo in itertools.product(*step_choices)
     )
@@ -188,12 +186,10 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
     if any(not 0 <= a < game.agent_count for a in agents):
         return ["coalition contains an unknown agent"]
     frontier: list[History] = [(tree.pivot,)]
-    seen: set[History] = set()
     while frontier:
         history = frontier.pop()
-        if history in seen or len(history) > tree.depth:
+        if len(history) > tree.depth:
             continue
-        seen.add(history)
         q = history[-1]
         prescribed = tree.prescription(history)
         if prescribed is None:
@@ -213,8 +209,11 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
                     f"{game.state_names[q]}"
                 )
         if len(history) < tree.depth:
-            for _, _, target in game.choices(q, agents).get(prescribed, ()):
-                frontier.append(history + (target,))
+            # A history is reached only from its prefix, so each distinct
+            # target is pushed once, at the position of its last move.
+            moves = game.choices(q, agents).get(prescribed, ())
+            targets = dict.fromkeys(target for _, _, target in reversed(moves))
+            frontier += [history + (target,) for target in reversed(targets)]
     return problems
 
 
@@ -229,13 +228,13 @@ def outcomes_bounded(
     are pruned as soon as theirs empties, which is equivalent because the set
     is antitone along prefixes).
     """
+    problems = validate_strategy_tree(game, tree)
+    if problems:
+        raise ValueError("invalid strategy tree: " + "; ".join(problems))
     if tree.pivot != path.last_state:
         raise ValueError("strategy pivot must equal the path's last state")
     if tree.depth < steps:
         raise ValueError("strategy tree is too shallow for the requested bound")
-    problems = validate_strategy_tree(game, tree)
-    if problems:
-        raise ValueError("invalid strategy tree: " + "; ".join(problems))
     agents = tree.agents
 
     start_caps = tuple(

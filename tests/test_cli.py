@@ -325,6 +325,36 @@ class TestPathCommands:
         assert code == 0
         assert out.strip() == "s0 (watch, swingL) s1 (watch, serve) s0"
 
+    def test_outcomes_validates_the_strategy_once(self, capsys, tmp_path, monkeypatch):
+        from upatl import trace
+
+        calls = []
+        validate = trace.validate_strategy_tree
+
+        def counting(game, tree):
+            calls.append(tree)
+            return validate(game, tree)
+
+        monkeypatch.setattr(trace, "validate_strategy_tree", counting)
+        monkeypatch.setattr(cli, "validate_strategy_tree", counting, raising=False)
+        strategy = {
+            "coalition": ["opp"],
+            "pivot": "s0",
+            "depth": 2,
+            "root": {
+                "actions": {"opp": "serve"},
+                "children": {"s0": {"actions": {"opp": "serve"}}},
+            },
+        }
+        target = tmp_path / "serve.json"
+        target.write_text(json.dumps(strategy))
+        code, out, _ = run(
+            capsys, "outcomes", HAND, "-p", "s0", "--strategy", str(target), "-k", "2"
+        )
+        assert code == 0
+        assert out == "s0 (watch, serve) s0 (watch, serve) s0\n"
+        assert len(calls) == 1
+
     def test_outcomes_pruned_empty(self, capsys, tmp_path):
         strategy = {
             "coalition": ["opp"],

@@ -10,7 +10,7 @@ from upatl.gamespec import (
     parse_game,
     render_game,
 )
-from upatl.model import validate_structure
+from upatl.model import GameStructure, validate_structure
 from upatl.oracle import GeneratorParams, generate_random_game
 
 GAMES_DIR = FsPath(__file__).parent.parent / "games"
@@ -91,6 +91,41 @@ class TestParseAndBind:
         with pytest.raises(GameSpecError, match="reserved"):
             load_game(broken)
 
+    def test_unknown_transition_state_is_named(self, hand_text):
+        for row in ("  t (watch, serve) -> s0", "  s0 (watch, serve) -> t"):
+            broken = hand_text.replace("  s1 (watch, serve) -> s0", row)
+            line = broken.splitlines().index(row) + 1
+            with pytest.raises(GameSpecError) as err:
+                load_game(broken)
+            assert str(err.value) == f"line {line}: unknown state 't'"
+
+    def test_spurious_transition_carries_its_own_line(self, hand_text):
+        # swingL is outside opp's protocol at s1, so the row is spurious.
+        row = "  s1 (watch, swingL) -> s0"
+        broken = hand_text.replace(
+            "  s1 (watch, serve) -> s0", "  s1 (watch, serve) -> s0\n" + row
+        )
+        line = broken.splitlines().index(row) + 1
+        with pytest.raises(GameSpecError) as err:
+            load_game(broken)
+        assert [str(d) for d in err.value.diagnostics] == [
+            f"line {line}: transition at s1 under (watch, swingL) uses an "
+            "unavailable joint action"
+        ]
+
+    def test_load_constructs_the_game_once(self, hand_text, monkeypatch):
+        calls = []
+        checks = GameStructure.__post_init__
+
+        def counting(game):
+            calls.append(game)
+            checks(game)
+
+        monkeypatch.setattr(GameStructure, "__post_init__", counting)
+        game = load_game(hand_text)
+        assert calls == [game]
+        assert game.state_names[game.init_state] == "s0"
+
     def test_syntax_error_has_span(self):
         with pytest.raises(GameSpecError) as err:
             parse_game("game g\nagents:\n  a\nwhat is this\n")
@@ -128,3 +163,85 @@ class TestRoundTrip:
             game = generate_random_game(params)
             again = load_game(render_game(game))
             assert canonical_form(again) == canonical_form(game)
+
+
+# Declared out of order: ids follow the sections (capacities righty, lefty,
+# normal; actions swingR, serve, watch, swingL; props rightHit, zz, start,
+# leftHit, aa), and ``fmt`` writes in id order.
+OUT_OF_ORDER = """\
+game hand
+agents:
+  obs, opp
+capacities:
+  opp: righty, lefty
+  obs: normal
+actions:
+  righty: swingR, serve
+  normal: watch
+  lefty: swingL, serve
+states:
+  s0, s1, s2
+init: s0
+labels:
+  s2: rightHit, zz
+  s0: start
+  s1: leftHit, aa
+protocol:
+  obs @ s0: watch
+  obs @ s1: watch
+  obs @ s2: watch
+  opp @ s0: serve, swingL, swingR
+  opp @ s1: serve
+  opp @ s2: serve
+transitions:
+  s0 (watch, serve) -> s0
+  s0 (watch, swingL) -> s1
+  s0 (watch, swingR) -> s2
+  s1 (watch, serve) -> s0
+  s2 (watch, serve) -> s0
+"""
+
+OUT_OF_ORDER_FMT = """\
+game hand
+
+agents:
+  obs, opp
+
+capacities:
+  obs: normal
+  opp: righty, lefty
+
+actions:
+  righty: swingR, serve
+  lefty: serve, swingL
+  normal: watch
+
+states:
+  s0, s1, s2
+
+init: s0
+
+labels:
+  s0: start
+  s1: leftHit, aa
+  s2: rightHit, zz
+
+protocol:
+  obs @ s0: watch
+  obs @ s1: watch
+  obs @ s2: watch
+  opp @ s0: swingR, serve, swingL
+  opp @ s1: serve
+  opp @ s2: serve
+
+transitions:
+  s0 (watch, swingR) -> s2
+  s0 (watch, serve) -> s0
+  s0 (watch, swingL) -> s1
+  s1 (watch, serve) -> s0
+  s2 (watch, serve) -> s0
+"""
+
+
+def test_out_of_order_sections_render_in_declaration_order():
+    assert render_game(load_game(OUT_OF_ORDER)) == OUT_OF_ORDER_FMT

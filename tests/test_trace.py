@@ -291,6 +291,33 @@ class TestOutcomes:
             f"no decision for reachable history s0 {name}" for name in ("s1", "s2")
         ]
 
+    def test_history_reached_by_two_moves_is_checked_once(self):
+        # At p, b's x and z both lead to q and y to r; a missing decision at
+        # p q is reported once, and before p r (targets in last-move order).
+        game = build_game(
+            name="fork",
+            agents=["a", "b"],
+            capacities={"a": ["ca"], "b": ["cb"]},
+            actions={"ca": ["go"], "cb": ["x", "y", "z"]},
+            states=["p", "q", "r"],
+            labels={},
+            protocol={
+                (agent, q): acts
+                for agent, acts in (("a", ["go"]), ("b", ["x", "y", "z"]))
+                for q in ("p", "q", "r")
+            },
+            transitions={
+                (q, ("go", bx)): target
+                for q in ("p", "q", "r")
+                for bx, target in (("x", "q"), ("y", "r"), ("z", "q"))
+            },
+        )
+        tree = StrategyTree(frozenset({0}), 0, 2, {(0,): (0,)})
+        assert validate_strategy_tree(game, tree) == [
+            "no decision for reachable history p q",
+            "no decision for reachable history p r",
+        ]
+
     def test_pivot_mismatch(self, g_hand):
         tree = opp_tree(g_hand, {("s0",): "swingL"}, depth=1)
         with pytest.raises(ValueError, match="pivot"):
