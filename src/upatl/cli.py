@@ -1,10 +1,11 @@
 """Command-line front end: validation, checking, and exploration.
 
 Exit codes: 0 for TRUE or plain success, 1 for FALSE, 2 for UNKNOWN, 64 for
-usage errors, 65 for parse or bind errors, 70 for internal failures, 141 when
-the reader closes stdout.  All diagnostics go to stderr; results go to
-stdout.  ``--format json`` emits one self-contained JSON document instead of
-the textual report (see README for the schema).
+usage errors, 65 for parse or bind errors and for files that cannot be read
+or written, 70 for internal failures, 141 when the reader closes stdout.  All
+diagnostics go to stderr; results go to stdout.  ``--format json`` emits one
+self-contained JSON document instead of the textual report (see README for
+the schema).
 """
 
 from __future__ import annotations
@@ -77,12 +78,16 @@ class _Parser(argparse.ArgumentParser):
 # -- shared helpers -----------------------------------------------------------
 
 
-def _read_game(path: str) -> GameStructure:
+def _read_text(path: str) -> str:
     try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as err:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    return load_game(text)
+
+
+def _read_game(path: str) -> GameStructure:
+    return load_game(_read_text(path))
 
 
 def _state_id(game: GameStructure, name: str | None) -> int:
@@ -256,7 +261,7 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
         )
         pivot = game.state_names.index(data["pivot"])
         depth = int(data["depth"])
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     members = tuple(sorted(coalition))
     decisions: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -343,11 +348,7 @@ def _emit_json(document) -> None:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = open(args.game, encoding="utf-8").read()
-    except OSError as err:
-        raise InputError(f"cannot read {args.game}: {err}") from None
-    game, diagnostics = bind_with_report(parse_game(text))
+    game, diagnostics = bind_with_report(parse_game(_read_text(args.game)))
     if args.format == "json":
         _emit_json(
             {
@@ -483,11 +484,9 @@ def _cmd_classes(args) -> int:
 def _cmd_outcomes(args) -> int:
     game = _read_game(args.game)
     path = parse_path_literal(game, args.path)
+    text = _read_text(args.strategy)
     try:
-        with open(args.strategy, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as err:
-        raise InputError(f"cannot read {args.strategy}: {err}") from None
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     tree = _tree_from_json(game, data)
@@ -545,8 +544,11 @@ def _cmd_gen(args) -> int:
         raise UsageError(str(err)) from None
     text = render_game(generate_random_game(params))
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise InputError(f"cannot write {args.output}: {err}") from None
     elif args.format == "json":
         _emit_json({"command": "gen", "text": text})
     else:

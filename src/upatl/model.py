@@ -355,34 +355,21 @@ def build_game(
 
     The one constructor from names: fixtures, the generator and the game-file
     binder (which checks every name, with its source line, first) all call
-    it.  Ids follow first appearance: capacities in the order of
-    ``capacities`` (then any only named in ``actions``), actions in the order
-    of ``actions``, props in the order of ``labels``; the reserved
-    always-true atom is appended and applied to every state.
+    it.  Ids follow declaration order, the order ``render_game`` writes:
+    capacities by first appearance walking ``agents`` and each one's
+    capacities, actions walking those capacities and each one's actions,
+    props walking ``states`` and each one's labels; the reserved always-true
+    atom is appended and applied to every state.
     """
-    cap_names: list[str] = []
-    for caps in capacities.values():
-        for c in caps:
-            if c not in cap_names:
-                cap_names.append(c)
-    for c in actions:
-        if c not in cap_names:
-            cap_names.append(c)
+    cap_names = list(dict.fromkeys(c for a in agents for c in capacities.get(a, [])))
     cap_index = {n: i for i, n in enumerate(cap_names)}
     state_index = {n: i for i, n in enumerate(states)}
-    act_names: list[str] = []
-    for acts in actions.values():
-        for x in acts:
-            if x not in act_names:
-                act_names.append(x)
+    act_names = list(dict.fromkeys(x for c in cap_names for x in actions.get(c, [])))
     act_index = {n: i for i, n in enumerate(act_names)}
-    prop_names: list[str] = []
-    for props in labels.values():
-        for p in props:
-            if p in RESERVED_PROPS:
-                raise ValueError(f"proposition name {p!r} is reserved")
-            if p not in prop_names:
-                prop_names.append(p)
+    prop_names = list(dict.fromkeys(p for q in states for p in labels.get(q, [])))
+    for p in prop_names:
+        if p in RESERVED_PROPS:
+            raise ValueError(f"proposition name {p!r} is reserved")
     prop_names.append(TRUE_PROP)
     true_id = len(prop_names) - 1
     prop_index = {n: i for i, n in enumerate(prop_names)}

@@ -185,6 +185,8 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
     agents = tree.agents
     if any(not 0 <= a < game.agent_count for a in agents):
         return ["coalition contains an unknown agent"]
+    if not agents:
+        return []  # the empty coalition prescribes nothing
     frontier: list[History] = [(tree.pivot,)]
     while frontier:
         history = frontier.pop()

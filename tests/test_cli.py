@@ -492,6 +492,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "nope.game", "-f", "start")
         assert code == 65 and "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [["validate"], ["check", "-f", "start"]])
+    def test_game_file_not_utf8(self, capsys, tmp_path, argv):
+        target = tmp_path / "latin1.game"
+        target.write_bytes(FsPath(HAND).read_bytes() + b"# caf\xe9\n")
+        code, out, err = run(capsys, argv[0], str(target), *argv[1:])
+        assert code == 65 and out == ""
+        assert err.startswith(f"error: cannot read {target}: 'utf-8' codec")
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"coalition": ["caf\xe9"]}', "cannot read {}: 'utf-8' codec"),
+            (
+                b'{"coalition": ["opp"], "pivot": "s0", "depth": 1e400}',
+                "malformed strategy file: cannot convert float infinity",
+            ),
+        ],
+        ids=["not-utf8", "depth-overflow"],
+    )
+    def test_unusable_strategy_file(self, capsys, tmp_path, content, message):
+        target = tmp_path / "strategy.json"
+        target.write_bytes(content)
+        code, _, err = run(
+            capsys, "outcomes", HAND, "-p", "s0", "--strategy", str(target), "-k", "1"
+        )
+        assert code == 65
+        assert err.startswith("error: " + message.format(target))
+
+    def test_gen_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "random.game"
+        code, out, err = run(capsys, "gen", "--seed", "0", "-o", str(target))
+        assert code == 65 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_no_init_and_no_state(self, capsys, tmp_path):
         text = (GAMES_DIR / "hand.game").read_text().replace("init: s0\n", "")
         target = tmp_path / "noinit.game"

@@ -1,6 +1,7 @@
 from pathlib import Path as FsPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upatl.gamespec import (
     GameSpecError,
@@ -165,9 +166,11 @@ class TestRoundTrip:
             assert canonical_form(again) == canonical_form(game)
 
 
-# Declared out of order: ids follow the sections (capacities righty, lefty,
-# normal; actions swingR, serve, watch, swingL; props rightHit, zz, start,
-# leftHit, aa), and ``fmt`` writes in id order.
+# Sections listed out of declaration order.  Ids still follow the
+# declarations (capacities normal, righty, lefty walking the agents; actions
+# watch, swingR, serve, swingL walking those capacities; props start,
+# leftHit, aa, rightHit, zz walking the states), and ``fmt`` writes in id
+# order, so its output is its own ``fmt``.
 OUT_OF_ORDER = """\
 game hand
 agents:
@@ -212,9 +215,9 @@ capacities:
   opp: righty, lefty
 
 actions:
+  normal: watch
   righty: swingR, serve
   lefty: serve, swingL
-  normal: watch
 
 states:
   s0, s1, s2
@@ -245,3 +248,51 @@ transitions:
 
 def test_out_of_order_sections_render_in_declaration_order():
     assert render_game(load_game(OUT_OF_ORDER)) == OUT_OF_ORDER_FMT
+    assert render_game(load_game(OUT_OF_ORDER_FMT)) == OUT_OF_ORDER_FMT
+
+
+# Sections whose rows, and whose names within a row, may come in any order.
+_SHUFFLED_ROWS = ("capacities", "actions", "labels", "protocol", "transitions")
+_SHUFFLED_NAMES = ("capacities", "actions", "labels")
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    states=st.integers(1, 5),
+    agents=st.integers(1, 3),
+    caps=st.integers(1, 2),
+    acts=st.integers(1, 2),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_fmt_is_a_fixed_point_on_shuffled_sections(
+    seed, states, agents, caps, acts, rnd
+):
+    game = generate_random_game(
+        GeneratorParams(
+            seed=seed,
+            states=states,
+            agents=agents,
+            capacities_per_agent=caps,
+            actions_per_capacity=acts,
+        )
+    )
+    # ``render_game`` writes each section as its header, its rows and a
+    # blank line.  The agents line stays: its order is every joint action's.
+    blocks = render_game(game).rstrip("\n").split("\n\n")
+    for i, block in enumerate(blocks):
+        header, *rows = block.split("\n")
+        section = header[:-1]
+        if section in _SHUFFLED_NAMES:
+            for j, row in enumerate(rows):
+                key, names = row.split(": ")
+                names = names.split(", ")
+                rnd.shuffle(names)
+                rows[j] = f"{key}: {', '.join(names)}"
+        if section in _SHUFFLED_ROWS:
+            rnd.shuffle(rows)
+        blocks[i] = "\n".join([header, *rows])
+    shuffled = load_game("\n\n".join(blocks))
+    once = render_game(shuffled)
+    assert render_game(load_game(once)) == once
+    assert canonical_form(shuffled) == canonical_form(game)

@@ -17,7 +17,7 @@ from upatl.trace import (
     validate_path,
     validate_strategy_tree,
 )
-from upatl.model import build_game
+from upatl.model import GameStructure, build_game
 
 from helpers import all_paths, path_of
 
@@ -317,6 +317,20 @@ class TestOutcomes:
             "no decision for reachable history p q",
             "no decision for reachable history p r",
         ]
+
+    def test_empty_coalition_tree_is_valid_without_a_walk(self, g_mix, monkeypatch):
+        # The empty coalition prescribes nothing, so no history needs a look.
+        calls = []
+        choices = GameStructure.choices
+
+        def counting(game, state, members):
+            calls.append(state)
+            return choices(game, state, members)
+
+        monkeypatch.setattr(GameStructure, "choices", counting)
+        tree = StrategyTree(coalition=frozenset(), pivot=0, depth=8)
+        assert validate_strategy_tree(g_mix, tree) == []
+        assert calls == []
 
     def test_pivot_mismatch(self, g_hand):
         tree = opp_tree(g_hand, {("s0",): "swingL"}, depth=1)
