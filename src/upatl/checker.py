@@ -64,7 +64,10 @@ and on the set of its branches, each an (abstract state, progress) pair: the
 leaf rules read only the progress and the compatible sets, the choices only
 the last state, and the expansion of a branch is a function of the pair.
 Duplicates do not matter, since the leaf rules ask "every" and "some".  So
-ranks are memoized on (leaf rule, depth, branch set).  Every memo belongs to
+ranks are memoized on (leaf rule, depth, branch set).  A node's expansion
+under a choice, its children grouped by target, depends on neither the depth
+nor the leaf rule, so expansions are memoized on (branch set, choice) alone
+and shared by both rank passes and the witness walk.  Every memo belongs to
 one ``Evaluator``, made per top-level call; nothing outlives it.
 """
 
@@ -265,8 +268,8 @@ class _State:
 
 class Evaluator:
     """The memos of one top-level call: abstract states and their steps,
-    subformula verdicts (keyed by formula node identity), and the ranks of
-    each strategic operator's search.
+    subformula verdicts (keyed by formula node identity), and the ranks and
+    node expansions of each strategic operator's search.
 
     ``formula`` must contain every formula evaluated with this evaluator: its
     ``K[...]`` agents are the ones whose belief sets the states carry, and
@@ -285,6 +288,7 @@ class Evaluator:
         self.peers: dict[tuple, list[Caps]] = {}
         self.values: dict[tuple, Verdict] = {}
         self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
+        self.expansions: dict[tuple, dict] = {}  # by (coalition, id(goal))
 
     def _intern(self, q: StateId, caps: Caps, beliefs: tuple) -> _State:
         key = (q, caps, beliefs)
@@ -369,10 +373,12 @@ class Evaluator:
     def search(
         self, coalition: frozenset[AgentId], goal: fm.TemporalFormula
     ) -> _Search:
-        """The search of ``<<coalition>> goal``, with the ranks found by
-        every earlier search of it."""
-        ranks = self.ranks.setdefault((coalition, id(goal)), {})
-        return _Search(self, coalition, goal, ranks)
+        """The search of ``<<coalition>> goal``, with the ranks and the
+        expansions found by every earlier search of it."""
+        key = (coalition, id(goal))
+        ranks = self.ranks.setdefault(key, {})
+        expansions = self.expansions.setdefault(key, {})
+        return _Search(self, coalition, goal, ranks, expansions)
 
     # Goal progress, read one position at a time (module docstring).
 
@@ -520,6 +526,7 @@ class _Search:
         coalition: frozenset[AgentId],
         goal: fm.TemporalFormula,
         ranks: dict[tuple, int],
+        expansions: dict[tuple, dict[StateId, frozenset[_Branch]]],
     ):
         self.evaluator = evaluator
         self.goal = goal
@@ -527,6 +534,7 @@ class _Search:
         self.horizon = evaluator.horizon
         self.safe_caps = unprunable_capacities(evaluator.game, coalition)
         self.ranks = ranks  # by (leaf rule name, depth, branches)
+        self.expansions = expansions  # by (branches, choice)
 
     def start(self, state: _State) -> frozenset[_Branch]:
         """The root's branches; none when no assignment is compatible, so
@@ -547,10 +555,18 @@ class _Search:
         return Verdict.UNKNOWN
 
     def expand(
-        self, branches: frozenset[_Branch], moves: tuple[Move, ...]
+        self,
+        branches: frozenset[_Branch],
+        choice: tuple[ActionId, ...],
+        moves: tuple[Move, ...],
     ) -> dict[StateId, frozenset[_Branch]]:
-        """Every branch extended by every move, dropped once no assignment is
-        compatible, and grouped by the state it reaches."""
+        """Every branch extended by every move ``choice`` allows, dropped once
+        no assignment is compatible, and grouped by the state it reaches;
+        computed once per (branches, choice), and shared, so read-only."""
+        key = (branches, choice)
+        got = self.expansions.get(key)
+        if got is not None:
+            return got
         evaluator = self.evaluator
         groups: dict[StateId, set[_Branch]] = {}
         for state, progress in branches:
@@ -560,7 +576,10 @@ class _Search:
                     groups.setdefault(target, set()).add(
                         (after, evaluator.advance(self.goal, progress, after))
                     )
-        return {target: frozenset(group) for target, group in groups.items()}
+        got = self.expansions[key] = {
+            target: frozenset(group) for target, group in groups.items()
+        }
+        return got
 
     def won(self, branches: frozenset[_Branch]) -> int:
         """Leaf rule for a winning tree: every outcome TRUE."""
@@ -592,8 +611,9 @@ class _Search:
             return best
         best = 0
         q = next(iter(branches))[0].q
-        for moves in self.evaluator.game.choices(q, self.members).values():
-            ranks = self.child_ranks(depth + 1, self.expand(branches, moves), leaf)
+        for choice, moves in self.evaluator.game.choices(q, self.members).items():
+            groups = self.expand(branches, choice, moves)
+            ranks = self.child_ranks(depth + 1, groups, leaf)
             if ranks is not None:
                 if 2 in ranks.values():
                     best = 2
@@ -649,7 +669,7 @@ class _Search:
                 groups, ranks, gained = {}, {}, 0
             else:
                 for choice, moves in choices:
-                    groups = self.expand(branches, moves)
+                    groups = self.expand(branches, choice, moves)
                     ranks = self.child_ranks(len(history), groups, self.won)
                     if ranks is None:
                         continue

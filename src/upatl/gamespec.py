@@ -48,6 +48,8 @@ from .model import (
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_PROTOCOL_ROW = re.compile(r"([A-Za-z_]\w*)\s*@\s*([A-Za-z_]\w*)\s*:\s*(.*)\Z")
+_TRANSITION_ROW = re.compile(r"([A-Za-z_]\w*)\s*\(([^)]*)\)\s*->\s*([A-Za-z_]\w*)\Z")
 _SECTIONS = (
     "agents",
     "capacities",
@@ -156,17 +158,13 @@ def parse_game(text: str) -> GameDocument:
             values = _idents(rest, lineno) if rest.strip() else []
             getattr(doc, section).append((key, values, lineno))
         elif section == "protocol":
-            match = re.match(
-                r"([A-Za-z_]\w*)\s*@\s*([A-Za-z_]\w*)\s*:\s*(.*)\Z", line
-            )
+            match = _PROTOCOL_ROW.match(line)
             if not match:
                 _fail(lineno, f"expected '<agent> @ <state>: actions', got {line!r}")
             agent, state, rest = match.groups()
             doc.protocol.append((agent, state, _idents(rest, lineno), lineno))
         elif section == "transitions":
-            match = re.match(
-                r"([A-Za-z_]\w*)\s*\(([^)]*)\)\s*->\s*([A-Za-z_]\w*)\Z", line
-            )
+            match = _TRANSITION_ROW.match(line)
             if not match:
                 _fail(
                     lineno,

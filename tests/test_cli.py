@@ -188,7 +188,7 @@ class TestCheck:
 def recheck(game_file, formula, horizon, record):
     """The outcomes of the record's certificate with the goal's verdict on
     each, recomputed through ``outcomes_bounded`` and ``eval_temporal``."""
-    game = load_game(open(game_file).read())
+    game = load_game(FsPath(game_file).read_text(encoding="utf-8"))
     goal = parse_formula(formula, game).goal
     cert = record["witness"] or record["falsifying"]["strategy"]
     tree = cli._tree_from_json(game, cert)
@@ -380,7 +380,8 @@ class TestFmtAndGen:
         code, out1, _ = run(capsys, "fmt", HAND)
         assert code == 0
         game1 = load_game(out1)
-        assert canonical_form(game1) == canonical_form(load_game(open(HAND).read()))
+        game0 = load_game(FsPath(HAND).read_text(encoding="utf-8"))
+        assert canonical_form(game1) == canonical_form(game0)
 
     def test_fmt_formula(self, capsys):
         code, out, _ = run(

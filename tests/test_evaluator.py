@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from upatl import cli
+from upatl import checker, cli
 from upatl.checker import (
     EvalContext,
     Evaluator,
@@ -207,6 +207,41 @@ def test_witness_walk_reuses_the_verdicts_ranks(g_mix, text, k):
         EvalContext(g_mix, ctx.path, 1, ctx.assignment, k), f.coalition, f.goal
     )
     assert shared.decisions == fresh.decisions
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        ("<<opp>> G start", 8),  # UNKNOWN: both leaf rules, several depths
+        ("<<opp>> N rightHit", 14),  # TRUE: the witness walk
+        ("<<opp>> F <<opp>> N rightHit", 5),  # a nested operator
+    ],
+)
+def test_each_node_is_expanded_once_per_check(g_mix, text, k, monkeypatch):
+    # Keyed on the operator, the branch set and the moves, which a choice
+    # fixes at the node's state.  A recomputed expansion is a new dict, so
+    # every repeat must be handed the object the first call got.
+    expand = checker._Search.expand
+    served: dict[tuple, list] = {}
+
+    def recorded(search, branches, *rest):
+        got = expand(search, branches, *rest)
+        key = (search.members, id(search.goal), branches, rest[-1])
+        served.setdefault(key, []).append(got)
+        return got
+
+    monkeypatch.setattr(checker._Search, "expand", recorded)
+    f = parse_formula(text, g_mix)
+    evaluator = Evaluator(g_mix, k, f)
+    ctx = EvalContext(
+        g_mix, all_paths(g_mix, 0, 0)[0], 1, canonical_assignment(g_mix), k, evaluator
+    )
+    if eval_path_formula(ctx, f) is Verdict.TRUE:
+        assert find_winning_strategy(ctx, f.coalition, f.goal) is not None
+    calls = sum(len(got) for got in served.values())
+    assert calls > len(served)  # the row does ask for some node twice
+    for got in served.values():
+        assert all(again is got[0] for again in got)
 
 
 def test_equal_branch_sets_at_different_depths_rank_apart():
