@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the bounded checker against the brute-force oracle.
 
-Runs every formula template over randomly generated games and the shipped
-fixtures, comparing verdicts at each horizon.  Any disagreement is printed
+Runs every formula template over the example games in ``games/*.game`` and
+randomly generated games, comparing verdicts at each horizon.  Any disagreement is printed
 and the script exits nonzero; this is the open-ended version of the pinned
 agreement test in the acceptance suite.
 
@@ -12,10 +12,11 @@ agreement test in the acceptance suite.
 import argparse
 import sys
 import time
+from pathlib import Path as FsPath
 
 from upatl.checker import EvalContext, canonical_assignment, eval_path_formula
-from upatl.fixtures import hand_game, hand_game_mixed
 from upatl.formula import render_formula
+from upatl.gamespec import load_game
 from upatl.oracle import (
     BudgetExceeded,
     GeneratorParams,
@@ -24,6 +25,8 @@ from upatl.oracle import (
     generate_random_game,
 )
 from upatl.trace import Path
+
+GAMES_DIR = FsPath(__file__).resolve().parent.parent / "games"
 
 
 def main() -> int:
@@ -37,7 +40,10 @@ def main() -> int:
                         help="drop the nested strategic/knowledge templates")
     args = parser.parse_args()
 
-    games = [hand_game(), hand_game_mixed()]
+    games = [
+        load_game(path.read_text(encoding="utf-8"))
+        for path in sorted(GAMES_DIR.glob("*.game"))
+    ]
     for i in range(args.games):
         games.append(
             generate_random_game(

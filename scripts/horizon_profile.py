@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Profile how verdicts sharpen as the horizon grows.
 
-Samples random (game, state, formula) instances and tabulates the verdict
+Samples random (game, state, formula) instances, over the example games in
+``games/*.game`` and randomly generated games, and tabulates the verdict
 distribution per horizon.  Decided verdicts never flip, so the UNKNOWN
 column can only shrink as k increases; this shows how quickly it does on
 random instances.
@@ -13,11 +14,14 @@ import argparse
 import random
 import sys
 from collections import Counter
+from pathlib import Path as FsPath
 
 from upatl.checker import EvalContext, Verdict, canonical_assignment, eval_path_formula
-from upatl.fixtures import hand_game, hand_game_mixed
+from upatl.gamespec import load_game
 from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
 from upatl.trace import Path
+
+GAMES_DIR = FsPath(__file__).resolve().parent.parent / "games"
 
 
 def main() -> int:
@@ -29,7 +33,10 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    games = [hand_game(), hand_game_mixed()]
+    games = [
+        load_game(path.read_text(encoding="utf-8"))
+        for path in sorted(GAMES_DIR.glob("*.game"))
+    ]
     for i in range(args.games):
         games.append(
             generate_random_game(

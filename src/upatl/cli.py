@@ -79,8 +79,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text, without a leading byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
@@ -260,7 +261,16 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
             game.agent_names.index(name) for name in data["coalition"]
         )
         pivot = game.state_names.index(data["pivot"])
-        depth = int(data["depth"])
+        depth = data["depth"]
+        # int() alone would run 1.5, "1" and true as depth 1.  An infinite
+        # depth (JSON's 1e400) fails in int() with its own message.
+        if (
+            isinstance(depth, bool)
+            or not isinstance(depth, (int, float))
+            or depth != int(depth)
+        ):
+            raise ValueError(f"depth must be an integer, not {depth!r}")
+        depth = int(depth)
     except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     members = tuple(sorted(coalition))

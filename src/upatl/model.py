@@ -353,8 +353,8 @@ def build_game(
 ) -> GameStructure:
     """Intern a name-level description into a dense GameStructure.
 
-    The one constructor from names: fixtures, the generator and the game-file
-    binder (which checks every name, with its source line, first) all call
+    The one constructor from names: the random generator and the game-file
+    binder (which checks every name, with its source line, first) both call
     it.  Ids follow declaration order, the order ``render_game`` writes:
     capacities by first appearance walking ``agents`` and each one's
     capacities, actions walking those capacities and each one's actions,

@@ -1,13 +1,13 @@
 import pytest
 
-from upatl.fixtures import hand_game, hand_game_mixed
+from helpers import load_game_file
 
 
 @pytest.fixture(scope="session")
 def g_hand():
-    return hand_game()
+    return load_game_file("hand")
 
 
 @pytest.fixture(scope="session")
 def g_mix():
-    return hand_game_mixed()
+    return load_game_file("hand_mix")

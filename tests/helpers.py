@@ -1,8 +1,10 @@
-"""Shared helpers for building paths, mutants, and random formulas in tests."""
+"""Shared helpers for loading the example games and building paths,
+mutants, and random formulas in tests."""
 
 from __future__ import annotations
 
 import random
+from pathlib import Path as FsPath
 
 from upatl.checker import (
     EvalContext,
@@ -32,6 +34,7 @@ from upatl.formula import (
     TemporalFormula,
     Until,
 )
+from upatl.gamespec import load_game
 from upatl.model import GameStructure
 from upatl.trace import (
     Path,
@@ -41,6 +44,13 @@ from upatl.trace import (
     indistinguishability_class,
     outcomes_bounded,
 )
+
+GAMES_DIR = FsPath(__file__).resolve().parent.parent / "games"
+
+
+def load_game_file(name: str) -> GameStructure:
+    """The game in ``games/<name>.game``, read without leaving a file open."""
+    return load_game((GAMES_DIR / f"{name}.game").read_text(encoding="utf-8"))
 
 
 def path_of(game: GameStructure, *alternating: str) -> Path:

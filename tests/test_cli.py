@@ -28,9 +28,8 @@ from upatl.gamespec import canonical_form, load_game
 from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
 from upatl.trace import Path, outcomes_bounded
 
-from helpers import drop_deepest_decision, reference_tree_json
+from helpers import GAMES_DIR, drop_deepest_decision, reference_tree_json
 
-GAMES_DIR = FsPath(__file__).parent.parent / "games"
 HAND = str(GAMES_DIR / "hand.game")
 MIX = str(GAMES_DIR / "hand_mix.game")
 
@@ -501,6 +500,14 @@ class TestExitCodes:
         assert code == 65 and out == ""
         assert err.startswith(f"error: cannot read {target}: 'utf-8' codec")
 
+    def test_game_file_with_byte_order_mark(self, capsys, tmp_path):
+        target = tmp_path / "bom.game"
+        target.write_bytes(b"\xef\xbb\xbf" + FsPath(HAND).read_bytes())
+        assert run(capsys, "validate", str(target)) == (0, "ok\n", "")
+        argv = ["-f", "<<opp>> F leftHit", "-k", "2"]
+        plain = run(capsys, "check", HAND, *argv)
+        assert run(capsys, "check", str(target), *argv) == plain
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -509,8 +516,26 @@ class TestExitCodes:
                 b'{"coalition": ["opp"], "pivot": "s0", "depth": 1e400}',
                 "malformed strategy file: cannot convert float infinity",
             ),
+            (
+                b'{"coalition": ["opp"], "pivot": "s0", "depth": 1.5}',
+                "malformed strategy file: depth must be an integer, not 1.5",
+            ),
+            (
+                b'{"coalition": ["opp"], "pivot": "s0", "depth": "1"}',
+                "malformed strategy file: depth must be an integer, not '1'",
+            ),
+            (
+                b'{"coalition": ["opp"], "pivot": "s0", "depth": true}',
+                "malformed strategy file: depth must be an integer, not True",
+            ),
         ],
-        ids=["not-utf8", "depth-overflow"],
+        ids=[
+            "not-utf8",
+            "depth-overflow",
+            "depth-fraction",
+            "depth-string",
+            "depth-bool",
+        ],
     )
     def test_unusable_strategy_file(self, capsys, tmp_path, content, message):
         target = tmp_path / "strategy.json"

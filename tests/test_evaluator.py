@@ -28,7 +28,6 @@ from upatl.checker import (
     eval_temporal,
     find_winning_strategy,
 )
-from upatl.fixtures import hand_game, hand_game_mixed
 from upatl.model import build_game
 from upatl.formula import (
     And,
@@ -47,20 +46,21 @@ from upatl.formula import (
 from upatl.oracle import GeneratorParams, generate_random_game
 
 from helpers import (
+    GAMES_DIR,
     all_paths,
     first_winning_tree,
+    load_game_file,
     random_formula,
     reference_knowledge,
     reference_path_formula,
     reference_temporal,
 )
 
-GAMES_DIR = FsPath(__file__).resolve().parent.parent / "games"
 MAX_STATES = 3  # paths of one to three states
 
 
 def games():
-    out = [hand_game(), hand_game_mixed()]
+    out = [load_game_file("hand"), load_game_file("hand_mix")]
     out += [generate_random_game(GeneratorParams(seed=s, agents=2)) for s in (0, 1)]
     out += [generate_random_game(GeneratorParams(seed=s, agents=3)) for s in (0, 1)]
     return out
@@ -242,6 +242,20 @@ def test_each_node_is_expanded_once_per_check(g_mix, text, k, monkeypatch):
     assert calls > len(served)  # the row does ask for some node twice
     for got in served.values():
         assert all(again is got[0] for again in got)
+
+
+@pytest.mark.parametrize("other", ["game", "horizon"])
+def test_context_rejects_an_evaluator_for_another_game_or_horizon(
+    g_hand, g_mix, other
+):
+    # The memos are keyed without the game or horizon, so an evaluator
+    # shared across either would hand out another check's verdicts.
+    f = parse_formula("<<opp>> F leftHit", g_mix)
+    start, lam = all_paths(g_mix, 0, 0)[0], canonical_assignment(g_mix)
+    EvalContext(g_mix, start, 1, lam, 3, Evaluator(g_mix, 3, f))
+    game, k = (g_hand, 3) if other == "game" else (g_mix, 4)
+    with pytest.raises(ValueError, match="evaluator is for another game or horizon"):
+        EvalContext(g_mix, start, 1, lam, 3, Evaluator(game, k, f))
 
 
 def test_equal_branch_sets_at_different_depths_rank_apart():

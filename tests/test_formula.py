@@ -21,7 +21,7 @@ from upatl.formula import (
 )
 from upatl.model import build_game
 
-from helpers import random_formula
+from helpers import load_game_file, random_formula
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +205,7 @@ _G = None
 def _shared_game():
     global _G
     if _G is None:
-        from upatl.fixtures import hand_game
-
-        _G = hand_game()
+        _G = load_game_file("hand")
     return _G
 
 
