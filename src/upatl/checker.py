@@ -20,7 +20,9 @@ outcomes that stops at the first FALSE one.
 ``enumerate_strategy_trees`` materializes trees in the canonical order that
 witnesses and falsifiers are first in.  The search, the walk and the
 enumeration read a coalition's choices at a state, each with the moves it
-allows, from one table, ``GameStructure.choices``.
+allows, from one table, ``GameStructure.choices``.  So does the belief
+update: the moves an agent cannot tell from its own are those its own action
+allows, the entry of that action for the one-agent coalition.
 
 Each nested strategic operator is re-anchored at the current prefix with the
 full configured horizon, so nesting does not starve the budget.
@@ -285,7 +287,6 @@ class Evaluator:
         self.knowers = tuple(sorted(_knowers(formula)))
         self.interned: dict[tuple, _State] = {}
         self.steps: dict[tuple, _State] = {}
-        self.peers: dict[tuple, list[Caps]] = {}
         self.values: dict[tuple, Verdict] = {}
         self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
         self.expansions: dict[tuple, dict] = {}  # by (coalition, id(goal))
@@ -324,20 +325,13 @@ class Evaluator:
     def _believe(self, q, agent, action, target, belief) -> frozenset[Caps]:
         """Belief set update: every member extended by every joint action the
         agent cannot tell from its own, narrowed, and dropped if emptied."""
-        key = (q, agent, action, target)
-        peers = self.peers.get(key)
-        if peers is None:
-            peers = self.peers[key] = [
-                licensing
-                for joint, licensing, reached in self.game.moves(q)
-                if joint[agent] == action and reached == target
-            ]
         out = set()
-        for member in belief:
-            for licensing in peers:
-                narrowed = _narrow(member, licensing)
-                if all(narrowed):
-                    out.add(narrowed)
+        for _, licensing, reached in self.game.choices(q, (agent,)).get((action,), ()):
+            if reached == target:
+                for member in belief:
+                    narrowed = _narrow(member, licensing)
+                    if all(narrowed):
+                        out.add(narrowed)
         return frozenset(out)
 
     def value(self, f: fm.PathFormula, state: _State) -> Verdict:

@@ -271,6 +271,8 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
         ):
             raise ValueError(f"depth must be an integer, not {depth!r}")
         depth = int(depth)
+        if depth < 0:
+            raise ValueError(f"depth must be nonnegative, not {depth}")
     except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     members = tuple(sorted(coalition))
@@ -399,6 +401,8 @@ def _cmd_check(args) -> int:
     if isinstance(f, fm.Strat):
         if verdict is Verdict.TRUE:
             witness = find_winning_strategy(ctx, f.coalition, f.goal)
+            if witness is None:
+                raise RuntimeError("TRUE strategic verdict without a witness")
         elif verdict is Verdict.FALSE:
             falsifying = find_falsifying_pair(ctx, f.coalition, f.goal)
     if args.format == "json":

@@ -85,14 +85,10 @@ class GameStructure:
     protocols: tuple[tuple[frozenset[ActionId], ...], ...]  # [agent][state]
     transitions: dict[tuple[StateId, JointAction], StateId]
     init_state: StateId | None = None
-    # Move tables, filled lazily by ``joint_actions`` and ``moves`` (state ->
-    # tuple), ``licensing`` (joint action -> tuple) and ``choices`` ((state,
-    # members) -> dict).  Derived from the fields above, which never change,
-    # and never copied by ``dataclasses.replace``.
-    _joint_actions: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Move tables, filled lazily by ``licensing`` (joint action -> tuple) and
+    # ``choices`` ((state, members) -> dict), the one table of moves.
+    # Derived from the fields above, which never change, and never copied by
+    # ``dataclasses.replace``.
     _choices: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -179,15 +175,9 @@ class GameStructure:
 
     def joint_actions(self, state: StateId) -> tuple[JointAction, ...]:
         """All joint actions available at ``state``, sorted lexicographically."""
-        table = self._joint_actions.get(state)
-        if table is None:
-            if not 0 <= state < len(self.state_names):
-                raise ValueError(f"unknown state id {state}")
-            per_agent = [sorted(self.protocols[a][state]) for a in self.agents]
-            table = self._joint_actions[state] = tuple(
-                itertools.product(*per_agent)
-            )
-        return table
+        if not 0 <= state < len(self.state_names):
+            raise ValueError(f"unknown state id {state}")
+        return tuple(itertools.product(*(sorted(row[state]) for row in self.protocols)))
 
     def licensing(self, joint: JointAction) -> tuple[frozenset[CapacityId], ...]:
         """Per agent, the capacities of that agent licensing its action."""
@@ -206,35 +196,33 @@ class GameStructure:
     def moves(self, state: StateId) -> tuple[Move, ...]:
         """``(joint, licensing(joint), successor)`` per available joint action,
         in ``joint_actions`` order."""
-        table = self._moves.get(state)
-        if table is None:
-            table = self._moves[state] = tuple(
-                (joint, self.licensing(joint), self.transitions[(state, joint)])
-                for joint in self.joint_actions(state)
-            )
-        return table
+        return self.choices(state, ())[()]
 
     def choices(
         self, state: StateId, members: tuple[AgentId, ...]
     ) -> dict[tuple[ActionId, ...], tuple[Move, ...]]:
         """Each choice of one protocol action per member at ``state``, mapped
-        to the ``moves(state)`` it allows, the other agents moving freely.
+        to the moves it allows, the other agents moving freely.
 
         Choices come in ``itertools.product`` order of the members' sorted
         protocols, so the first gives each member its smallest action; the
         empty coalition has the single choice ``()``, allowing every move.
+        Within a choice, moves keep ``joint_actions`` order.
         """
         key = (state, members)
         table = self._choices.get(key)
         if table is None:
+            joints = self.joint_actions(state)  # raises on an unknown state
             allowed: dict[tuple[ActionId, ...], list[Move]] = {
                 choice: []
                 for choice in itertools.product(
                     *(sorted(self.protocols[a][state]) for a in members)
                 )
             }
-            for move in self.moves(state):
-                allowed[tuple(move[0][a] for a in members)].append(move)
+            for joint in joints:
+                allowed[tuple(joint[a] for a in members)].append(
+                    (joint, self.licensing(joint), self.transitions[(state, joint)])
+                )
             table = self._choices[key] = {
                 choice: tuple(group) for choice, group in allowed.items()
             }
@@ -243,7 +231,10 @@ class GameStructure:
     def is_available(self, state: StateId, joint: JointAction) -> bool:
         if len(joint) != self.agent_count:
             return False
-        return all(joint[a] in self.protocols[a][state] for a in self.agents)
+        for x, row in zip(joint, self.protocols):
+            if x not in row[state]:
+                return False
+        return True
 
     def successor(self, state: StateId, joint: JointAction) -> StateId:
         if not 0 <= state < len(self.state_names):
@@ -312,10 +303,8 @@ def validate_structure(game: GameStructure) -> list[Violation]:
                             capacity=c,
                         )
                     )
-    available: set[tuple[StateId, JointAction]] = set()
     for q in game.states:
         for joint in game.joint_actions(q):
-            available.add((q, joint))
             if (q, joint) not in game.transitions:
                 report.append(
                     Violation(
@@ -327,7 +316,7 @@ def validate_structure(game: GameStructure) -> list[Violation]:
                     )
                 )
     for q, joint in sorted(game.transitions):
-        if (q, joint) not in available:
+        if not game.is_available(q, joint):
             report.append(
                 Violation(
                     SPURIOUS_TRANSITION,

@@ -142,10 +142,10 @@ def indistinguishability_class(
     step_choices = [
         [
             other
-            for other, _, successor in game.moves(path.states[i])
-            if other[agent] == joint[agent] and successor == path.states[i + 1]
+            for other, _, reached in game.choices(q, (agent,)).get((joint[agent],), ())
+            if reached == target
         ]
-        for i, joint in enumerate(path.actions)
+        for q, joint, target in zip(path.states, path.actions, path.states[1:])
     ]
     return frozenset(
         Path(path.states, combo) for combo in itertools.product(*step_choices)

@@ -203,6 +203,7 @@ class TestDeepCertificates:
     @pytest.mark.parametrize(
         "game_file, formula",
         [(HAND, "<<obs>> N leftHit"), (MIX, "<<obs>> N K[obs](opp=righty)")],
+        ids=["hand", "hand_mix"],
     )
     def test_false_at_k10_has_falsifier(self, capsys, game_file, formula):
         code, out, _ = run(
@@ -218,6 +219,17 @@ class TestDeepCertificates:
         code, out, err = run(capsys, "check", HAND, "-f", "<<obs>> N leftHit", "-k", "3")
         assert (code, out) == (70, "")
         assert "invalid strategy tree" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_true_without_witness_is_an_engine_error(self, capsys, monkeypatch, fmt):
+        from upatl import checker
+
+        monkeypatch.setattr(checker._Search, "first_tree", lambda *_: None)
+        code, out, err = run(
+            capsys, "check", MIX, "-f", "<<opp>> N rightHit", "-k", "2", "--format", fmt
+        )
+        assert (code, out) == (70, "")
+        assert "without a witness" in err
 
     def test_true_at_k14_has_witness(self, capsys):
         formula = "<<opp>> N rightHit"
@@ -528,6 +540,10 @@ class TestExitCodes:
                 b'{"coalition": ["opp"], "pivot": "s0", "depth": true}',
                 "malformed strategy file: depth must be an integer, not True",
             ),
+            (
+                b'{"coalition": ["opp"], "pivot": "s0", "depth": -1}',
+                "malformed strategy file: depth must be nonnegative, not -1",
+            ),
         ],
         ids=[
             "not-utf8",
@@ -535,6 +551,7 @@ class TestExitCodes:
             "depth-fraction",
             "depth-string",
             "depth-bool",
+            "depth-negative",
         ],
     )
     def test_unusable_strategy_file(self, capsys, tmp_path, content, message):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -232,6 +233,24 @@ class TestIndistinguishability:
                 assert indistinguishable(g_mix, b, a, agent)
                 if indistinguishable(g_mix, b, c, agent):
                     assert indistinguishable(g_mix, a, c, agent)
+
+    def test_class_is_the_definition(self, g_hand, g_mix):
+        # The class read from the move table equals the paths of the same
+        # length from the same start that ``indistinguishable`` accepts, with
+        # the candidates enumerated from ``joint_actions`` and ``transitions``.
+        games = [g_hand, g_mix] + [
+            generate_random_game(GeneratorParams(seed=seed, agents=3))
+            for seed in range(6)
+        ]
+        for game in games:
+            for start in game.states:
+                for steps in range(3):
+                    paths = all_paths(game, start, steps)
+                    for rho, agent in itertools.product(paths, game.agents):
+                        expected = {
+                            p for p in paths if indistinguishable(game, rho, p, agent)
+                        }
+                        assert indistinguishability_class(game, rho, agent) == expected
 
     def test_class_closure(self, g_mix):
         for rho in all_paths(g_mix, 0, 2):
