@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path as FsPath
 
-from upatl.checker import EvalContext, canonical_assignment, eval_path_formula
+from upatl.checker import canonical_assignment, check_state
 from upatl.formula import render_formula
 from upatl.gamespec import load_game
 from upatl.oracle import (
@@ -62,17 +62,14 @@ def main() -> int:
         for f in formula_templates(game, include_deep=not args.skip_deep):
             for horizon in range(args.k_max + 1):
                 for q in game.states:
-                    rho = Path((q,))
                     try:
                         expected = brute_force_eval(
-                            game, rho, 1, lam, f, horizon
+                            game, Path((q,)), 1, lam, f, horizon
                         )
                     except BudgetExceeded:
                         skipped += 1
                         continue
-                    got = eval_path_formula(
-                        EvalContext(game, rho, 1, lam, horizon), f
-                    )
+                    got = check_state(game, q, f, horizon)
                     compared += 1
                     if got is not expected:
                         mismatched += 1

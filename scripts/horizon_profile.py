@@ -16,10 +16,9 @@ import sys
 from collections import Counter
 from pathlib import Path as FsPath
 
-from upatl.checker import EvalContext, Verdict, canonical_assignment, eval_path_formula
+from upatl.checker import Verdict, check_state
 from upatl.gamespec import load_game
 from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
-from upatl.trace import Path
 
 GAMES_DIR = FsPath(__file__).resolve().parent.parent / "games"
 
@@ -54,10 +53,9 @@ def main() -> int:
     for _ in range(args.instances):
         game, f = pool[rng.randrange(len(pool))]
         q = rng.randrange(len(game.state_names))
-        lam = canonical_assignment(game)
         previous = None
         for k in range(args.k_max + 1):
-            verdict = eval_path_formula(EvalContext(game, Path((q,)), 1, lam, k), f)
+            verdict = check_state(game, q, f, k)
             counts[k][verdict] += 1
             if previous is not None and previous is not Verdict.UNKNOWN:
                 if verdict is not previous:

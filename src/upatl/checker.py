@@ -250,6 +250,22 @@ class SearchDepthError(ValueError):
     ``MAX_SEARCH_DEPTH``."""
 
 
+# Most decisions a certificate's tree may hold.  A tree decides every history
+# its prescriptions reach, so it can grow exponentially with the horizon while
+# the search behind it stays small.  Set from measurement on a 2-vCPU host:
+# ``hand_mix``'s ``<<obs>> N leftHit`` falsifier has 195,024 decisions at
+# k=14 (an 82 MB JSON record, written in about 3 s at a 260 MB peak), which
+# must still print; at k=200 it cannot fit in memory, and with this limit the
+# walk gives up after about 3 s at a 220 MB peak.
+MAX_CERTIFICATE_DECISIONS = 250_000
+
+
+class CertificateTooLarge(Exception):
+    """A certificate's tree would hold more than ``MAX_CERTIFICATE_DECISIONS``
+    decisions.  Not a ``ValueError``: the verdict stands, only its
+    certificate is withheld."""
+
+
 def strategic_nesting(f: fm.PathFormula) -> int:
     """The most strategic operators nested on one branch of ``f``."""
     return max(nesting for _, nesting in _nodes(f))
@@ -642,6 +658,8 @@ class _Search:
         winning sequence of decisions.  A history without live branches
         cannot change the outcomes and takes its first choice, as do its
         descendants; from an empty ``start`` the walk yields the first tree.
+        Raises ``CertificateTooLarge`` once the tree passes
+        ``MAX_CERTIFICATE_DECISIONS`` decisions.
         """
         if not self.members or self.horizon == 0:
             # The single tree of an empty coalition or of depth 0 decides nothing.
@@ -673,6 +691,11 @@ class _Search:
                 else:
                     return None  # only the root can lack a winning choice
             decisions[history] = choice
+            if len(decisions) > MAX_CERTIFICATE_DECISIONS:
+                raise CertificateTooLarge(
+                    f"its certificate has more than {MAX_CERTIFICATE_DECISIONS} "
+                    f"decisions (MAX_CERTIFICATE_DECISIONS)"
+                )
             twos += gained
             if len(history) < self.horizon:
                 for target in sorted({target for _, _, target in moves}):
@@ -806,6 +829,21 @@ def enumerate_strategy_trees(
             )
 
 
+def _checked_tree(
+    ctx: EvalContext,
+    coalition: frozenset[AgentId],
+    pivot: StateId,
+    decisions: dict[History, tuple[ActionId, ...]],
+) -> StrategyTree:
+    """The certificate's tree; raises ``ValueError`` if it fails
+    ``validate_strategy_tree``."""
+    tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
+    problems = validate_strategy_tree(ctx.game, tree)
+    if problems:
+        raise ValueError("invalid strategy tree: " + "; ".join(problems))
+    return tree
+
+
 def find_winning_strategy(
     ctx: EvalContext,
     coalition: frozenset[AgentId],
@@ -813,7 +851,8 @@ def find_winning_strategy(
 ) -> StrategyTree | None:
     """First tree, in enumeration order, that wins the bounded goal; see
     ``_Search.first_tree``.  Given the context that decided the verdict, the
-    walk reuses its ranks."""
+    walk reuses its ranks.  Raises ``ValueError`` if the tree fails
+    ``validate_strategy_tree``."""
     evaluator = _evaluator(ctx, goal)
     search = evaluator.search(coalition, goal)
     start = search.start(evaluator.fold(ctx.path, ctx.index))
@@ -821,7 +860,7 @@ def find_winning_strategy(
     decisions = search.first_tree(pivot, start) if start else None
     if decisions is None:
         return None
-    return StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
+    return _checked_tree(ctx, coalition, pivot, decisions)
 
 
 def find_falsifying_pair(
@@ -843,11 +882,7 @@ def find_falsifying_pair(
     search = evaluator.search(coalition, goal)
     prefix = ctx.path.prefix(ctx.index)
     pivot = prefix.last_state
-    decisions = search.first_tree(pivot, frozenset())
-    tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
-    problems = validate_strategy_tree(ctx.game, tree)
-    if problems:
-        raise ValueError("invalid strategy tree: " + "; ".join(problems))
+    tree = _checked_tree(ctx, coalition, pivot, search.first_tree(pivot, frozenset()))
     return tree, search.first_false_outcome(prefix, tree)
 
 

@@ -20,6 +20,7 @@ import time
 
 from . import formula as fm
 from .checker import (
+    CertificateTooLarge,
     EvalContext,
     Evaluator,
     SearchDepthError,
@@ -399,12 +400,17 @@ def _cmd_check(args) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     witness = falsifying = None
     if isinstance(f, fm.Strat):
-        if verdict is Verdict.TRUE:
-            witness = find_winning_strategy(ctx, f.coalition, f.goal)
-            if witness is None:
-                raise RuntimeError("TRUE strategic verdict without a witness")
-        elif verdict is Verdict.FALSE:
-            falsifying = find_falsifying_pair(ctx, f.coalition, f.goal)
+        try:
+            if verdict is Verdict.TRUE:
+                witness = find_winning_strategy(ctx, f.coalition, f.goal)
+                if witness is None:
+                    raise RuntimeError("TRUE strategic verdict without a witness")
+            elif verdict is Verdict.FALSE:
+                falsifying = find_falsifying_pair(ctx, f.coalition, f.goal)
+        except CertificateTooLarge as err:
+            # Never a verdict without its certificate: report UNKNOWN instead.
+            print(f"warning: {verdict.value} verdict withheld: {err}", file=sys.stderr)
+            verdict = Verdict.UNKNOWN
     if args.format == "json":
         _emit_json(
             {

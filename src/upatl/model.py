@@ -30,18 +30,6 @@ TRUE_PROP = "true"
 RESERVED_PROPS = ("true", "false")
 
 
-class ModelError(Exception):
-    """Base class for game-structure errors."""
-
-
-class ProtocolError(ModelError):
-    """A joint action is not available at the given state."""
-
-
-class MissingTransitionError(ModelError):
-    """An available joint action has no successor (invalid structure)."""
-
-
 # Violation kinds produced by validate_structure.
 EMPTY_CAPACITIES = "empty-capacities"
 PROTOCOL_OUTSIDE_CAPACITIES = "protocol-outside-capacities"
@@ -193,11 +181,6 @@ class GameStructure:
             )
         return table
 
-    def moves(self, state: StateId) -> tuple[Move, ...]:
-        """``(joint, licensing(joint), successor)`` per available joint action,
-        in ``joint_actions`` order."""
-        return self.choices(state, ())[()]
-
     def choices(
         self, state: StateId, members: tuple[AgentId, ...]
     ) -> dict[tuple[ActionId, ...], tuple[Move, ...]]:
@@ -235,22 +218,6 @@ class GameStructure:
             if x not in row[state]:
                 return False
         return True
-
-    def successor(self, state: StateId, joint: JointAction) -> StateId:
-        if not 0 <= state < len(self.state_names):
-            raise ValueError(f"unknown state id {state}")
-        if not self.is_available(state, joint):
-            raise ProtocolError(
-                f"joint action {self.joint_label(joint)} is not available "
-                f"at {self.state_names[state]}"
-            )
-        try:
-            return self.transitions[(state, joint)]
-        except KeyError:
-            raise MissingTransitionError(
-                f"no successor for {self.state_names[state]} under "
-                f"{self.joint_label(joint)}; structure is invalid"
-            ) from None
 
     # -- diagnostics -------------------------------------------------------
 

@@ -60,14 +60,6 @@ class Path:
         return Path(self.states + (state,), self.actions + (joint,))
 
 
-def state_trace(path: Path) -> History:
-    return path.states
-
-
-def action_trace(path: Path) -> tuple[JointAction, ...]:
-    return path.actions
-
-
 def validate_path(game: GameStructure, path: Path) -> bool:
     """True iff every step uses an available joint action and the successors match."""
     if any(not 0 <= q < len(game.state_names) for q in path.states):

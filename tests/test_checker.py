@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from upatl import checker
 from upatl.checker import (
     MAX_SEARCH_DEPTH,
+    CertificateTooLarge,
     EvalContext,
     SearchDepthError,
     Verdict,
@@ -36,6 +38,7 @@ from helpers import (
     all_paths,
     drop_deepest_decision,
     first_winning_tree,
+    load_game_file,
     path_of,
     reference_temporal,
 )
@@ -255,6 +258,40 @@ class TestStrategic:
         swing_l = g_hand.action_names.index("swingL")
         assert tree is not None
         assert tree.decisions[(0,)] == (swing_l,)
+
+    def test_invalid_witness_raises(self, g_mix, monkeypatch):
+        drop_deepest_decision(monkeypatch)
+        f = parse_formula("<<opp>> N rightHit", g_mix)
+        ctx = ctx_at(g_mix, path_of(g_mix, "s0"), horizon=2)
+        with pytest.raises(ValueError, match="no decision for reachable history s0 s2"):
+            find_winning_strategy(ctx, f.coalition, f.goal)
+
+    @pytest.mark.parametrize(
+        "game_name, text, horizon, decisions",
+        [
+            ("hand", "<<obs>> N leftHit", 8, 340),
+            ("hand_mix", "<<opp>> N rightHit", 10, 10),
+        ],
+        ids=["hand-false", "hand_mix-true"],
+    )
+    def test_certificate_decision_limit(
+        self, monkeypatch, game_name, text, horizon, decisions
+    ):
+        game = load_game_file(game_name)
+        f = parse_formula(text, game)
+        ctx = ctx_at(game, path_of(game, "s0"), horizon=horizon)
+
+        def certificate():
+            if eval_strategic(ctx, f.coalition, f.goal) is T:
+                return find_winning_strategy(ctx, f.coalition, f.goal)
+            return find_falsifying_pair(ctx, f.coalition, f.goal)[0]
+
+        monkeypatch.setattr(checker, "MAX_CERTIFICATE_DECISIONS", decisions)
+        assert len(certificate().decisions) == decisions
+        monkeypatch.setattr(checker, "MAX_CERTIFICATE_DECISIONS", decisions - 1)
+        with pytest.raises(CertificateTooLarge, match=f"more than {decisions - 1} "):
+            certificate()
+        assert not issubclass(CertificateTooLarge, ValueError)
 
     def test_witness_matches_reference_enumeration(self, g_hand, g_mix):
         games = [g_hand, g_mix] + [

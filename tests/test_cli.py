@@ -221,6 +221,48 @@ class TestDeepCertificates:
         assert "invalid strategy tree" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_invalid_witness_tree_is_an_engine_error(self, capsys, monkeypatch, fmt):
+        drop_deepest_decision(monkeypatch)
+        code, out, err = run(
+            capsys, "check", MIX, "-f", "<<opp>> N rightHit", "-k", "2", "--format", fmt
+        )
+        assert (code, out) == (70, "")
+        assert "invalid strategy tree: no decision for reachable history s0 s2" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "game_file, formula, horizon, decisions, verdict",
+        [
+            (HAND, "<<obs>> N leftHit", 8, 340, "FALSE"),
+            (MIX, "<<opp>> N rightHit", 10, 10, "TRUE"),
+        ],
+        ids=["hand-false", "hand_mix-true"],
+    )
+    def test_certificate_above_limit_is_unknown(
+        self, capsys, monkeypatch, fmt, game_file, formula, horizon, decisions, verdict
+    ):
+        from upatl import checker
+
+        argv = ["check", game_file, "-f", formula, "-k", str(horizon), "--format", fmt]
+        monkeypatch.setattr(checker, "MAX_CERTIFICATE_DECISIONS", decisions)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.VERDICT_EXIT[Verdict(verdict)], "")
+        monkeypatch.setattr(checker, "MAX_CERTIFICATE_DECISIONS", decisions - 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == (
+            f"warning: {verdict} verdict withheld: its certificate has more "
+            f"than {decisions - 1} decisions (MAX_CERTIFICATE_DECISIONS)\n"
+        )
+        if fmt == "text":
+            assert out == "UNKNOWN\n"
+        else:
+            record = json.loads(out)
+            jsonschema.validate(record, CHECK_SCHEMA)
+            assert record["verdict"] == "UNKNOWN"
+            assert record["witness"] is record["falsifying"] is None
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_true_without_witness_is_an_engine_error(self, capsys, monkeypatch, fmt):
         from upatl import checker
 

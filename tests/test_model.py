@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -9,8 +10,6 @@ from upatl.model import (
     MISSING_TRANSITION,
     PROTOCOL_OUTSIDE_CAPACITIES,
     SPURIOUS_TRANSITION,
-    MissingTransitionError,
-    ProtocolError,
     validate_structure,
 )
 from upatl.oracle import GeneratorParams, generate_random_game
@@ -121,42 +120,16 @@ class TestMoves:
         for q in (1, 2):
             assert len(g_hand.joint_actions(q)) == 1
 
-    def test_successor_follows_table(self, g_hand):
-        s0 = g_hand.state_names.index("s0")
-        s1 = g_hand.state_names.index("s1")
-        watch = g_hand.action_names.index("watch")
-        swing_l = g_hand.action_names.index("swingL")
-        serve = g_hand.action_names.index("serve")
-        assert g_hand.successor(s0, (watch, swing_l)) == s1
-        assert g_hand.successor(s1, (watch, serve)) == s0
-
-    def test_successor_rejects_unavailable_action(self, g_hand):
-        s0 = g_hand.state_names.index("s0")
-        serve = g_hand.action_names.index("serve")
-        # serve is a real action, but not one obs may play.
-        with pytest.raises(ProtocolError):
-            g_hand.successor(s0, (serve, serve))
-
-    def test_missing_transition_is_a_distinct_error(self, g_hand):
-        key = (
-            g_hand.state_names.index("s1"),
-            (
-                g_hand.action_names.index("watch"),
-                g_hand.action_names.index("serve"),
-            ),
-        )
-        trans = dict(g_hand.transitions)
-        del trans[key]
-        mutant = dataclasses.replace(g_hand, transitions=trans)
-        with pytest.raises(MissingTransitionError):
-            mutant.successor(*key)
-
     def test_choices_partition_moves_by_coalition_choice(self, g_hand, g_mix):
         three = generate_random_game(GeneratorParams(seed=4, states=4, agents=3))
         for game in (g_hand, g_mix, three):
             for size in range(game.agent_count + 1):
                 for members in itertools.combinations(game.agents, size):
                     for q in game.states:
+                        every = [
+                            (joint, game.licensing(joint), game.transitions[(q, joint)])
+                            for joint in game.joint_actions(q)
+                        ]
                         table = game.choices(q, members)
                         assert list(table) == list(
                             itertools.product(
@@ -166,12 +139,11 @@ class TestMoves:
                         for choice, moves in table.items():
                             assert moves == tuple(
                                 move
-                                for move in game.moves(q)
+                                for move in every
                                 if tuple(move[0][a] for a in members) == choice
                             )
                         allowed = [m for ms in table.values() for m in ms]
-                        assert sorted(allowed) == sorted(game.moves(q))
-            assert game.choices(0, ()) == {(): game.moves(0)}
+                        assert sorted(allowed) == sorted(every)
             copy = dataclasses.replace(game, name="copy")
             assert game._choices and not copy._choices
 
@@ -181,10 +153,122 @@ class TestMoves:
                 joints = game.joint_actions(q)
                 assert joints
                 for joint in joints:
-                    game.successor(q, joint)
+                    assert (q, joint) in game.transitions
+
+
+def with_row(rows, i, row):
+    """``rows`` with its ``i``-th entry replaced by ``row``."""
+    return rows[:i] + (row,) + rows[i + 1 :]
+
+
+def with_transition(game, key, target):
+    return {**game.transitions, key: target}
+
+
+# One mutant of hand.game per shape or range check of the constructor: the
+# fields to replace, and the check's message.  Each mutant passes every
+# other check, so that it is rejected by its own check alone.
+MALFORMED = {
+    "no-agents": (
+        lambda g: {"agent_names": ()},
+        "a game needs at least one agent",
+    ),
+    "no-states": (
+        lambda g: {"state_names": ()},
+        "a game needs at least one state",
+    ),
+    "no-true-prop": (
+        lambda g: {"prop_names": with_row(g.prop_names, g.true_prop, "truth")},
+        "reserved proposition 'true' missing",
+    ),
+    "labels-short": (
+        lambda g: {"labels": g.labels[:-1]},
+        "labels must cover every state",
+    ),
+    "label-range": (
+        lambda g: {
+            "labels": with_row(g.labels, 1, g.labels[1] | {len(g.prop_names)})
+        },
+        "label out of range at state 1",
+    ),
+    "label-without-true": (
+        lambda g: {"labels": with_row(g.labels, 2, g.labels[2] - {g.true_prop})},
+        "reserved proposition must label every state, missing at 2",
+    ),
+    "capacities-short": (
+        lambda g: {"agent_capacities": g.agent_capacities[:-1]},
+        "capacity sets must cover every agent",
+    ),
+    "capacity-range": (
+        lambda g: {
+            "agent_capacities": with_row(
+                g.agent_capacities,
+                1,
+                g.agent_capacities[1] | {len(g.capacity_names)},
+            )
+        },
+        "capacity id out of range",
+    ),
+    "action-sets-short": (
+        lambda g: {"capacity_actions": g.capacity_actions[:-1]},
+        "action sets must cover every capacity",
+    ),
+    "action-range": (
+        lambda g: {
+            "capacity_actions": with_row(
+                g.capacity_actions, 0, g.capacity_actions[0] | {len(g.action_names)}
+            )
+        },
+        "action id out of range",
+    ),
+    "protocols-short": (
+        lambda g: {"protocols": g.protocols[:-1]},
+        "protocols must cover every agent",
+    ),
+    "protocol-row-short": (
+        lambda g: {"protocols": with_row(g.protocols, 1, g.protocols[1][:-1])},
+        "protocols must cover every state",
+    ),
+    "protocol-action-range": (
+        lambda g: {
+            "protocols": with_row(
+                g.protocols,
+                0,
+                with_row(g.protocols[0], 2, frozenset({len(g.action_names)})),
+            )
+        },
+        "protocol action id out of range",
+    ),
+    "transition-state-range": (
+        lambda g: {
+            "transitions": with_transition(g, (0, (0, 1)), len(g.state_names))
+        },
+        "transition state id out of range",
+    ),
+    "transition-arity": (
+        lambda g: {"transitions": with_transition(g, (0, (0,)), 0)},
+        "joint action arity must equal agent count",
+    ),
+    "transition-action-range": (
+        lambda g: {
+            "transitions": with_transition(g, (0, (0, len(g.action_names))), 0)
+        },
+        "transition action id out of range",
+    ),
+    "init-range": (
+        lambda g: {"init_state": len(g.state_names)},
+        "init state out of range",
+    ),
+}
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_fields_are_rejected(self, g_hand, case):
+        fields, message = MALFORMED[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(g_hand, **fields(g_hand))
+
     def test_reserved_prop_labels_every_state(self, g_hand):
         true_id = g_hand.true_prop
         assert all(true_id in props for props in g_hand.labels)

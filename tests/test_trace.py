@@ -8,13 +8,11 @@ from upatl.oracle import GeneratorParams, generate_random_game
 from upatl.trace import (
     Path,
     StrategyTree,
-    action_trace,
     compatible_assignments,
     complete_assignments,
     indistinguishability_class,
     indistinguishable,
     outcomes_bounded,
-    state_trace,
     validate_path,
     validate_strategy_tree,
 )
@@ -48,19 +46,23 @@ def opp_tree(game, decisions, depth):
 class TestTraces:
     def test_projections(self, g_hand):
         rho = path_of(g_hand, "s0", ("watch", "swingL"), "s1")
-        assert state_trace(rho) == rho.states
-        assert action_trace(rho) == rho.actions
-        assert len(rho.states) == 2 and len(rho.actions) == 1
+        assert rho.states == (
+            g_hand.state_names.index("s0"),
+            g_hand.state_names.index("s1"),
+        )
+        assert rho.actions == (
+            (g_hand.action_names.index("watch"), g_hand.action_names.index("swingL")),
+        )
 
     def test_single_state_path(self, g_hand):
         rho = path_of(g_hand, "s0")
-        assert state_trace(rho) == rho.states
-        assert action_trace(rho) == ()
+        assert rho.states == (g_hand.state_names.index("s0"),)
+        assert rho.actions == ()
 
     def test_alternation_invariant(self, g_hand):
         for steps in range(4):
             for rho in all_paths(g_hand, 0, steps):
-                assert len(state_trace(rho)) == len(action_trace(rho)) + 1
+                assert len(rho.states) == len(rho.actions) + 1
 
     def test_validate_path(self, g_hand):
         good = path_of(g_hand, "s0", ("watch", "swingL"), "s1")
@@ -68,6 +70,9 @@ class TestTraces:
         assert validate_path(g_hand, good)
         assert not validate_path(g_hand, bad)
         assert validate_path(g_hand, path_of(g_hand, "s0"))
+        # serve is a real action, but not one obs may play.
+        unavailable = path_of(g_hand, "s0", ("serve", "serve"), "s0")
+        assert not validate_path(g_hand, unavailable)
 
 
 class TestCompatibleAssignments:
