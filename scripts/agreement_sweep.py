@@ -36,8 +36,6 @@ def main() -> int:
     parser.add_argument("--k-max", type=int, default=3)
     parser.add_argument("--states", type=int, default=3)
     parser.add_argument("--agents", type=int, default=2)
-    parser.add_argument("--skip-deep", action="store_true",
-                        help="drop the nested strategic/knowledge templates")
     args = parser.parse_args()
 
     games = [
@@ -59,7 +57,7 @@ def main() -> int:
     compared = skipped = mismatched = 0
     for game in games:
         lam = canonical_assignment(game)
-        for f in formula_templates(game, include_deep=not args.skip_deep):
+        for f in formula_templates(game):
             for horizon in range(args.k_max + 1):
                 for q in game.states:
                     try:

@@ -155,11 +155,6 @@ class EvalContext:
         ):
             raise ValueError("evaluator is for another game or horizon")
 
-    def at(self, path: Path, index: int) -> "EvalContext":
-        return EvalContext(
-            self.game, path, index, self.assignment, self.horizon, self.evaluator
-        )
-
 
 # -- capacity and knowledge ---------------------------------------------------
 
@@ -254,8 +249,8 @@ class SearchDepthError(ValueError):
 # its prescriptions reach, so it can grow exponentially with the horizon while
 # the search behind it stays small.  Set from measurement on a 2-vCPU host:
 # ``hand_mix``'s ``<<obs>> N leftHit`` falsifier has 195,024 decisions at
-# k=14 (an 82 MB JSON record, written in about 3 s at a 260 MB peak), which
-# must still print; at k=200 it cannot fit in memory, and with this limit the
+# k=14 (an 82 MB JSON record, written in about 2 s at a 100 MB peak, as its
+# text), which must still print; at k=200 it cannot fit in memory, and with this limit the
 # walk gives up after about 3 s at a 220 MB peak.
 MAX_CERTIFICATE_DECISIONS = 250_000
 
@@ -710,50 +705,44 @@ class _Search:
 
     def first_false_outcome(self, prefix: Path, tree: StrategyTree) -> Path | None:
         """The first outcome of ``tree`` from ``prefix``, in action order,
-        whose goal is FALSE, or None if none is.
-
-        Walks the outcomes depth-first, each node's moves in action order, so
-        the first FALSE leaf reached is the first in action order.  A branch
-        is left as soon as no assignment is compatible with it or its goal is
-        decided other than FALSE.
-        """
-        evaluator, goal = self.evaluator, self.goal
-        game = evaluator.game
+        whose goal is FALSE, or None if none is; see ``_false_below``."""
+        evaluator = self.evaluator
         state = evaluator.fold(prefix, len(prefix.states))
         if not state.alive:
             return None
-        # Frames are (suffix history, abstract state, progress, joint action
-        # that led there); ``joints`` holds the joint actions of the frame
-        # being visited, from the pivot.
-        stack = [((tree.pivot,), state, evaluator.begin(goal, state), None)]
-        joints: list = []
-        while stack:
-            history, state, progress, joint = stack.pop()
-            depth = len(history) - 1
-            if depth:
-                del joints[depth - 1 :]
-                joints.append(joint)
-            decided = progress is not None and progress[1] is Verdict.FALSE
-            if depth == self.horizon:
-                if _final(progress) is Verdict.FALSE:
-                    return Path(
-                        prefix.states + history[1:], prefix.actions + tuple(joints)
-                    )
-            elif not decided or progress[0] is Verdict.FALSE:
-                moves = game.choices(history[-1], self.members)[
-                    tree.prescription(history)
-                ]
-                for joint, _, target in reversed(moves):
-                    after = evaluator.step(state, joint, target)
-                    if after.alive:
-                        stack.append(
-                            (
-                                history + (target,),
-                                after,
-                                evaluator.advance(goal, progress, after),
-                                joint,
-                            )
-                        )
+        start = evaluator.begin(self.goal, state)
+        found = self._false_below(tree, (tree.pivot,), state, start)
+        if found is None:
+            return None
+        return Path(prefix.states + found[0], prefix.actions + found[1])
+
+    def _false_below(
+        self, tree: StrategyTree, history: History, state: _State, progress: Progress
+    ) -> tuple[tuple, tuple] | None:
+        """The states and joint actions after ``history`` of the first FALSE
+        outcome through it, or None.
+
+        Depth-first, each node's moves in action order, so the first FALSE
+        leaf reached is the first in action order.  A branch is left as soon
+        as no assignment is compatible with it or its goal is decided other
+        than FALSE.  One frame per step: at most ``horizon + 1``.
+        """
+        if len(history) > self.horizon:
+            return ((), ()) if _final(progress) is Verdict.FALSE else None
+        decided = progress is not None and progress[1] is Verdict.FALSE
+        if decided and progress[0] is not Verdict.FALSE:
+            return None
+        evaluator = self.evaluator
+        moves = evaluator.game.choices(history[-1], self.members)[
+            tree.prescription(history)
+        ]
+        for joint, _, target in moves:
+            after = evaluator.step(state, joint, target)
+            if after.alive:
+                progressed = evaluator.advance(self.goal, progress, after)
+                found = self._false_below(tree, history + (target,), after, progressed)
+                if found is not None:
+                    return (target,) + found[0], (joint,) + found[1]
         return None
 
 

@@ -183,77 +183,109 @@ def _tree_text(game: GameStructure, tree: StrategyTree) -> list[str]:
 
 
 def _tree_record(game: GameStructure, tree: StrategyTree) -> dict:
-    """The tree's JSON record; its root node is written by ``_write_nodes``."""
+    """The tree's JSON record; its root node is written by a ``_TreeWriter``."""
     return {
         "coalition": [game.agent_names[a] for a in tree.agents],
         "pivot": game.state_names[tree.pivot],
         "depth": tree.depth,
-        "root": functools.partial(_write_nodes, game, tree),
+        "root": _TreeWriter(game, tree),
     }
 
 
-def _write_nodes(
-    game: GameStructure, tree: StrategyTree, out: list[str], indent: str
-) -> None:
-    """Append the tree's root node as ``_json_parts`` appends a nested object,
+class _TreeWriter:
+    """Appends a tree's root node as ``_json_parts`` appends a nested object,
     straight from ``tree.decisions``.  Each node is ``{"actions": {agent:
     action}, "children": {state: node}}``; a history without a decision has
-    no actions."""
-    decisions = tree.decisions
-    agents = tree.agents
-    # Coalition positions in the order of their agents' names, the key order.
-    order = sorted(range(len(agents)), key=lambda i: game.agent_names[agents[i]])
-    agent_keys = [_encode_str(game.agent_names[agents[i]]) + ": " for i in order]
-    state_keys = [_encode_str(name) + ": " for name in game.state_names]
-    children: dict[tuple[int, ...], list[int]] = {}
-    for history in decisions:
-        if len(history) > 1:
-            children.setdefault(history[:-1], []).append(history[-1])
-    # Per node depth, the indentation and separators every node at it shares.
-    levels: list[tuple[str, ...]] = []
-    # Per depth and decision, the text of a node up to its children.
-    heads: dict[tuple, str] = {}
-    # Nodes to write, as (history, depth), and text to append between them.
-    stack: list = [((tree.pivot,), 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        history, depth = item
-        if depth == len(levels):
-            keys = indent + "  " * (2 * depth + 1)  # the node's own keys
-            entry = keys + "  "  # the entries of its actions and children
-            closing = keys[:-2] + "}"
-            levels.append(
-                (keys, "{" + entry, "," + entry, keys + "}" + closing, "{}" + closing)
-            )
-        keys, first, then, end, leaf_end = levels[depth]
-        decision = decisions.get(history, ())
-        head = heads.get((depth, decision))
+    no actions.  One frame per node depth: at most the tree's depth + 1."""
+
+    def __init__(self, game: GameStructure, tree: StrategyTree) -> None:
+        self.tree = tree
+        self.action_names = game.action_names
+        names = [game.agent_names[a] for a in tree.agents]
+        # Coalition positions in the order of their agents' names, the key order.
+        self.order = sorted(range(len(names)), key=names.__getitem__)
+        self.agent_keys = [_encode_str(names[i]) + ": " for i in self.order]
+        self.state_keys = [_encode_str(name) + ": " for name in game.state_names]
+        children: dict[tuple[int, ...], list[int]] = {}
+        for history in tree.decisions:
+            if len(history) > 1:
+                children.setdefault(history[:-1], []).append(history[-1])
+        for below in children.values():
+            below.sort(key=game.state_names.__getitem__)
+        self.children = children
+        # Per indentation and decision, the text that every such node shares.
+        self.heads: dict[tuple, tuple[str, str, str, str]] = {}
+
+    def __call__(self, out: list[str], indent: str) -> None:
+        self.node(out, (self.tree.pivot,), indent)
+
+    def node(self, out: list[str], history: tuple[int, ...], indent: str) -> None:
+        """Append the node of ``history``; ``indent`` is a newline and the
+        indentation of the line it starts on."""
+        key = (indent, self.tree.decisions.get(history, ()))
+        head = self.heads.get(key)
         if head is None:
-            actions = "{}"
-            if decision:
-                actions = "".join(
-                    (then if n else first)
-                    + agent_keys[n]
-                    + _encode_str(game.action_names[decision[i]])
-                    for n, i in enumerate(order)
-                ) + keys + "}"
-            head = heads[(depth, decision)] = (
-                "{" + keys + '"actions": ' + actions + "," + keys + '"children": '
-            )
-        out.append(head)
-        below = children.get(history)
+            head = self.heads[key] = self.head(*key)
+        text, leaf, inner, end = head
+        below = self.children.get(history)
         if not below:
-            out.append(leaf_end)
-            continue
-        # Popped in key order: separator, state, child node; then the end.
-        stack.append(end)
-        below = sorted(below, key=game.state_names.__getitem__)
-        for n in range(len(below) - 1, -1, -1):
-            q = below[n]
-            stack += ((history + (q,), depth + 1), state_keys[q], then if n else first)
+            out.append(leaf)
+            return
+        out.append(text)
+        separator = "{"
+        for q in below:
+            out += (separator, inner, self.state_keys[q])
+            self.node(out, history + (q,), inner)
+            separator = ","
+        out.append(end)
+
+    def head(self, indent: str, decision: tuple[int, ...]) -> tuple[str, ...]:
+        """The text of a node up to its children, the whole node when it has
+        none, its entries' indentation and the text that closes it."""
+        keys = indent + "  "  # the node's own keys
+        inner = keys + "  "  # the entries of its actions and children
+        actions = "{}"
+        if decision:
+            actions = "".join(
+                ("," if n else "{")
+                + inner
+                + self.agent_keys[n]
+                + _encode_str(self.action_names[decision[i]])
+                for n, i in enumerate(self.order)
+            ) + keys + "}"
+        text = "{" + keys + '"actions": ' + actions + "," + keys + '"children": '
+        return text, text + "{}" + indent + "}", inner, keys + "}" + indent + "}"
+
+
+def _read_node(
+    game: GameStructure, members: tuple, node, history: tuple, decisions: dict
+) -> None:
+    """Add the decisions of a strategy file's ``node`` at ``history``, and of
+    every node below it, to ``decisions``."""
+    where = " ".join(game.state_names[q] for q in history)
+    if not isinstance(node, dict):
+        raise InputError(f"strategy node at {where} is not an object")
+    actions = node.get("actions", {})
+    children = node.get("children", {})
+    for key, value in (("actions", actions), ("children", children)):
+        if not isinstance(value, dict):
+            raise InputError(f"{key} of strategy node at {where} is not an object")
+    if members:
+        try:
+            decisions[history] = tuple(
+                game.action_names.index(actions[game.agent_names[a]])
+                for a in members
+            )
+        except (KeyError, ValueError) as err:
+            raise InputError(
+                f"malformed strategy decision at {where}: {err}"
+            ) from None
+    for state_name, child in children.items():
+        try:
+            child_state = game.state_names.index(state_name)
+        except ValueError:
+            raise InputError(f"unknown state {state_name!r}") from None
+        _read_node(game, members, child, history + (child_state,), decisions)
 
 
 def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
@@ -276,37 +308,9 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
             raise ValueError(f"depth must be nonnegative, not {depth}")
     except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
-    members = tuple(sorted(coalition))
     decisions: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def walk(node: dict, history: tuple[int, ...]) -> None:
-        where = " ".join(game.state_names[q] for q in history)
-        if not isinstance(node, dict):
-            raise InputError(f"strategy node at {where} is not an object")
-        actions = node.get("actions", {})
-        children = node.get("children", {})
-        for key, value in (("actions", actions), ("children", children)):
-            if not isinstance(value, dict):
-                raise InputError(f"{key} of strategy node at {where} is not an object")
-        if members:
-            try:
-                decisions[history] = tuple(
-                    game.action_names.index(actions[game.agent_names[a]])
-                    for a in members
-                )
-            except (KeyError, ValueError) as err:
-                raise InputError(
-                    f"malformed strategy decision at {where}: {err}"
-                ) from None
-        for state_name, child in children.items():
-            try:
-                child_state = game.state_names.index(state_name)
-            except ValueError:
-                raise InputError(f"unknown state {state_name!r}") from None
-            walk(child, history + (child_state,))
-
     root = data.get("root", {"actions": {}, "children": {}})
-    walk(root, (pivot,))
+    _read_node(game, tuple(sorted(coalition)), root, (pivot,), decisions)
     return StrategyTree(coalition, pivot, depth, decisions)
 
 
@@ -348,10 +352,16 @@ def _json_parts(value, out: list[str], indent: str) -> None:
         out.append(json.dumps(value))
 
 
+# Parts joined per write: a small record is one write, and a large one is
+# never held as one string.
+_WRITE_PARTS = 8192
+
+
 def _emit_json(document) -> None:
     out: list[str] = []
     _json_parts(document, out, "\n")
-    sys.stdout.write("".join(out))
+    for start in range(0, len(out), _WRITE_PARTS):
+        sys.stdout.write("".join(out[start : start + _WRITE_PARTS]))
     # Written apart: a large write that a closed pipe cuts short can end
     # without an error, and only the next write reports the closed pipe.
     sys.stdout.write("\n")

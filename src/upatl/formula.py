@@ -249,23 +249,22 @@ class _Parser:
             return path_implies(left, self.parse_phi())
         return left
 
-    def parse_or(self) -> PathFormula:
-        left = self.parse_and()
+    def chain(self, symbol: str, operand, combine):
+        """``operand (symbol operand)*``, folded from the left by ``combine``;
+        each operator nests one level deeper until the chain ends."""
+        left = operand()
         outer = self.depth
-        while self.peek().kind == "|":
+        while self.peek().kind == symbol:
             self.nest(self.advance())
-            left = path_or(left, self.parse_and())
+            left = combine(left, operand())
         self.depth = outer
         return left
 
+    def parse_or(self) -> PathFormula:
+        return self.chain("|", self.parse_and, path_or)
+
     def parse_and(self) -> PathFormula:
-        left = self.parse_unary()
-        outer = self.depth
-        while self.peek().kind == "&":
-            self.nest(self.advance())
-            left = And(left, self.parse_unary())
-        self.depth = outer
-        return left
+        return self.chain("&", self.parse_unary, And)
 
     @_nested
     def parse_unary(self) -> PathFormula:
@@ -346,22 +345,10 @@ class _Parser:
 
     @_nested
     def parse_capf(self) -> CapFormula:
-        left = self.parse_cap_and()
-        outer = self.depth
-        while self.peek().kind == "|":
-            self.nest(self.advance())
-            left = cap_or(left, self.parse_cap_and())
-        self.depth = outer
-        return left
+        return self.chain("|", self.parse_cap_and, cap_or)
 
     def parse_cap_and(self) -> CapFormula:
-        left = self.parse_cap_unary()
-        outer = self.depth
-        while self.peek().kind == "&":
-            self.nest(self.advance())
-            left = CapAnd(left, self.parse_cap_unary())
-        self.depth = outer
-        return left
+        return self.chain("&", self.parse_cap_unary, CapAnd)
 
     @_nested
     def parse_cap_unary(self) -> CapFormula:

@@ -3,6 +3,7 @@ mutants, and random formulas in tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path as FsPath
 
@@ -77,7 +78,7 @@ def first_winning_tree(
     on every outcome.  Exponential in the horizon; for small cases only.
     """
     prefix = ctx.path.prefix(ctx.index)
-    base = ctx.at(prefix, ctx.index)
+    base = dataclasses.replace(ctx, path=prefix, index=ctx.index)
     for tree in enumerate_strategy_trees(
         ctx.game, prefix.last_state, coalition, ctx.horizon
     ):
@@ -158,10 +159,11 @@ def reference_temporal(
     if isinstance(goal, Next):
         if k < 1:
             return Verdict.UNKNOWN
-        return reference_path_formula(ctx.at(outcome, i + 1), goal.operand)
+        after = dataclasses.replace(ctx, path=outcome, index=i + 1)
+        return reference_path_formula(after, goal.operand)
     result = Verdict.UNKNOWN
     for j in range(i + k, i - 1, -1):
-        here = ctx.at(outcome, j)
+        here = dataclasses.replace(ctx, path=outcome, index=j)
         right = reference_path_formula(here, goal.right)
         left = reference_path_formula(here, goal.left)
         if isinstance(goal, Until):
@@ -180,7 +182,7 @@ def reference_strategic(
     UNKNOWN.  Exponential in the horizon; for small cases only."""
     game = ctx.game
     prefix = ctx.path.prefix(ctx.index)
-    base = ctx.at(prefix, ctx.index)
+    base = dataclasses.replace(ctx, path=prefix, index=ctx.index)
     safe = unprunable_capacities(game, coalition)
     escaped = False
     for tree in enumerate_strategy_trees(

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from upatl.cli import main
 from upatl.formula import Strat, parse_formula
 from upatl.gamespec import canonical_form, load_game
 from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
-from upatl.trace import Path, outcomes_bounded
+from upatl.trace import Path, StrategyTree, outcomes_bounded
 
 from helpers import GAMES_DIR, drop_deepest_decision, reference_tree_json
 
@@ -865,3 +866,163 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["command"] == "gen"
         code, out, err = run(capsys, "check", HAND, "-f", "start", "-k", "0")
         assert (code, out, err) == (0, "TRUE\n", "")
+
+
+ONE_STATE_GAME = """\
+game one
+
+agents:
+  p
+
+capacities:
+  p: only
+
+actions:
+  only: stay
+
+states:
+  a
+
+init: a
+
+labels:
+  a: home
+
+protocol:
+  p @ a: stay
+
+transitions:
+  a (stay) -> a
+"""
+
+
+class TestCertificatesAtTheDepthLimit:
+    """One state, one action: every certificate is a chain of one decision
+    per step, at the largest horizon the search allows.  The falsifier walk
+    and the tree writer recurse once per step."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "formula, horizon, code",
+        [
+            ("<<p>> F home", MAX_SEARCH_DEPTH, 0),
+            ("<<p>> N !home", MAX_SEARCH_DEPTH, 1),
+            ("<<p>> N <<p>> N !home", MAX_SEARCH_DEPTH // 2, 1),
+        ],
+        ids=["true", "false", "nested-false"],
+    )
+    def test_chain_certificate(self, capsys, tmp_path, fmt, formula, horizon, code):
+        game_file = tmp_path / "one.game"
+        game_file.write_text(ONE_STATE_GAME)
+        got, out, err = run(
+            capsys, "check", str(game_file), "-f", formula, "-k", str(horizon),
+            "--format", fmt,
+        )
+        assert (got, err) == (code, "")
+        game = load_game(ONE_STATE_GAME)
+        chain = {(0,) * n: (0,) for n in range(1, horizon + 1)}
+        tree = StrategyTree(frozenset([0]), 0, horizon, chain)
+        if fmt == "text":
+            lines = out.splitlines()
+            kind = "witness" if code == 0 else "falsified"
+            assert lines[:2] == [
+                "TRUE" if code == 0 else "FALSE",
+                f"{kind} strategy for {{p}} from a (depth {horizon})",
+            ]
+            decisions = [" ".join(["a"] * n) for n in range(1, horizon + 1)]
+            assert lines[2 : 2 + horizon] == [f"  {d}: p=stay" for d in decisions]
+            tail = [] if code == 0 else [
+                "falsifying outcome: a" + " (stay) a" * horizon
+            ]
+            assert lines[2 + horizon :] == tail
+            return
+        record = json.loads(out)
+        jsonschema.validate(record, CHECK_SCHEMA)
+        if code == 0:
+            certificate = record["witness"]
+            assert record["falsifying"] is None
+        else:
+            certificate = record["falsifying"]["strategy"]
+            assert record["witness"] is None
+            assert record["falsifying"]["outcome"] == ["a"] + [["stay"], "a"] * horizon
+        assert certificate == reference_tree_json(game, tree)
+
+
+class TestNoCyclicGarbage:
+    """A call frees all it made by reference counting, leaving nothing to
+    the cycle collector (whose pauses show in the per-check times)."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate", HAND], 0),
+            (["check", HAND, "-f", "<<opp>> N leftHit", "-s", "s0", "-k", "1"], 0),
+            (["check", HAND, "-f", "<<obs>> N leftHit", "-k", "3"], 1),
+            (["check", HAND, "-f", "<<obs>> F (K[obs](opp=lefty) | K[obs](opp=righty))", "-k", "4"], 2),
+            (["compat", HAND, "-p", "s0 (watch,swingL) s1"], 0),
+            (["classes", HAND, "-p", "s0 (watch,swingL) s1", "-a", "obs"], 0),
+            (["outcomes", HAND, "-p", "s0", "--strategy", None, "-k", "2"], 0),
+            (["fmt", HAND], 0),
+            (["fmt", HAND, "-f", "start -> <<opp>> F leftHit"], 0),
+            (["gen", "--seed", "7"], 0),
+        ],
+        ids=[
+            "validate", "check-true", "check-false", "check-unknown", "compat",
+            "classes", "outcomes", "fmt-game", "fmt-formula", "gen",
+        ],
+    )
+    def test_a_call_leaves_no_cycles(self, capsys, tmp_path, argv, code, fmt):
+        argv = [strategy_file(tmp_path) if a is None else a for a in argv]
+        argv += ["--format", fmt]
+        # The first call builds the parser and imports what the command needs.
+        assert main(argv) == code
+        gc.collect()
+        gc.disable()
+        try:
+            got = main(argv)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert (got, left) == (code, 0)
+
+
+class _Writes(io.StringIO):
+    """Standard output that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def written(argv) -> tuple[int, list[str], str]:
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.writes, out.getvalue()
+
+
+class TestChunkedWrites:
+    def test_a_large_record_is_written_in_chunks(self):
+        # 5,460 decisions: several chunks of parts.
+        code, writes, out = written(
+            ["check", HAND, "-f", "<<obs>> N leftHit", "-k", "12", "--format", "json"]
+        )
+        assert code == 1
+        assert len(writes) > 2 and writes[-1] == "\n"
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        game = load_game(FsPath(HAND).read_text(encoding="utf-8"))
+        tree = cli._tree_from_json(game, json.loads(out)["falsifying"]["strategy"])
+        assert len(tree.decisions) == 5460
+
+    def test_a_small_record_is_one_write(self):
+        code, writes, out = written(
+            ["check", HAND, "-f", "<<obs>> N leftHit", "-k", "2", "--format", "json"]
+        )
+        assert code == 1
+        assert writes == [out[:-1], "\n"]
