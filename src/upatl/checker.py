@@ -47,7 +47,7 @@ extension is a function of the prefix's abstract state and the steps taken.
 A nested ``<<...>>`` explores extensions only, starting from the compatible
 sets, so it too depends on the prefix only through its abstract state.
 Each state subformula is therefore memoized on (formula node, abstract
-state), and each step on (abstract state, joint action, target).
+state).
 
 Goals progress forward.  With FALSE < UNKNOWN < TRUE, strong-Kleene ``&``
 and ``|`` are min and max, a distributive lattice.  The bounded until unrolls
@@ -59,7 +59,8 @@ progress pair ``(a, b)`` stands for ``a | (b & u_j)``; distributivity gives
 backward value.  Release is the dual ``u_j = r_j & (l_j | u_j+1)``, and maps
 ``(a, b)`` to ``(a | (b & r_j & l_j), b & r_j)``.  Once ``a`` is TRUE or
 ``b`` FALSE the value is decided, and ``(a, FALSE)`` stands for it; an
-undecided pair ends UNKNOWN.  Next waits for its first step.
+undecided pair ends UNKNOWN.  Next starts there too, skips the first
+position, and maps to ``(v, FALSE)`` at the second, where its operand is v.
 
 Why equal nodes get equal ranks.  A search node's rank depends on its depth
 and on the set of its branches, each an (abstract state, progress) pair: the
@@ -192,9 +193,9 @@ def eval_knowledge(
 # -- abstract prefix states ---------------------------------------------------
 
 Caps = tuple[frozenset[CapacityId], ...]  # one compatible set per agent
-# Goal progress: None for a Next goal before its first step, else a pair
-# (a, b) standing for ``a | (b & rest)``; decided iff b is FALSE.
-Progress = tuple[Verdict, Verdict] | None
+# Goal progress: a pair (a, b) standing for ``a | (b & rest)``; decided iff b
+# is FALSE.
+Progress = tuple[Verdict, Verdict]
 _UNREAD = (Verdict.FALSE, Verdict.TRUE)
 _WON = (Verdict.TRUE, Verdict.FALSE)
 
@@ -205,7 +206,7 @@ def _narrow(caps: Caps, licensing: Caps) -> Caps:
 
 def _final(progress: Progress) -> Verdict:
     """The goal's verdict once the horizon is reached."""
-    if progress is None or progress[1] is not Verdict.FALSE:
+    if progress[1] is not Verdict.FALSE:
         return Verdict.UNKNOWN
     return progress[0]
 
@@ -224,11 +225,6 @@ def _nodes(f) -> Iterator[tuple[object, int]]:
         elif isinstance(g, (fm.And, fm.Until, fm.Release)):
             stack += [(g.left, nesting), (g.right, nesting)]
         yield g, nesting
-
-
-def _knowers(f) -> set[AgentId]:
-    """Agents named in a ``K[...]`` subformula of ``f``."""
-    return {g.agent for g, _ in _nodes(f) if isinstance(g, fm.Know)}
 
 
 # Deepest search the checker accepts: the horizon times the most strategic
@@ -261,11 +257,6 @@ class CertificateTooLarge(Exception):
     certificate is withheld."""
 
 
-def strategic_nesting(f: fm.PathFormula) -> int:
-    """The most strategic operators nested on one branch of ``f``."""
-    return max(nesting for _, nesting in _nodes(f))
-
-
 class _State:
     """An abstract prefix state, interned by its evaluator, so that identity
     is equality and memo keys hash fast."""
@@ -280,24 +271,33 @@ class _State:
 
 
 class Evaluator:
-    """The memos of one top-level call: abstract states and their steps,
-    subformula verdicts (keyed by formula node identity), and the ranks and
-    node expansions of each strategic operator's search.
+    """The memos of one top-level call: abstract states, subformula verdicts
+    (keyed by formula node identity), and the ranks and node expansions of
+    each strategic operator's search.
 
     ``formula`` must contain every formula evaluated with this evaluator: its
     ``K[...]`` agents are the ones whose belief sets the states carry, and
     holding it keeps the node identities in the memo keys valid.  The memos
     hold no reference back to the evaluator, so that it is freed as soon as
-    its call ends, without waiting for the cycle collector.
+    its call ends, without waiting for the cycle collector.  Every search
+    runs inside an evaluator, so this is where ``SearchDepthError`` is raised.
     """
 
     def __init__(self, game: GameStructure, horizon: int, formula) -> None:
+        nodes = list(_nodes(formula))
+        nesting = max(depth for _, depth in nodes)
+        if horizon * nesting > MAX_SEARCH_DEPTH:
+            raise SearchDepthError(
+                f"horizon {horizon} times strategic nesting {nesting} exceeds "
+                f"the search depth limit {MAX_SEARCH_DEPTH}"
+            )
         self.game = game
         self.horizon = horizon
         self.formula = formula
-        self.knowers = tuple(sorted(_knowers(formula)))
+        self.knowers = tuple(
+            sorted({g.agent for g, _ in nodes if isinstance(g, fm.Know)})
+        )
         self.interned: dict[tuple, _State] = {}
-        self.steps: dict[tuple, _State] = {}
         self.values: dict[tuple, Verdict] = {}
         self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
         self.expansions: dict[tuple, dict] = {}  # by (coalition, id(goal))
@@ -322,16 +322,12 @@ class Evaluator:
 
     def step(self, state: _State, joint: tuple, target: StateId) -> _State:
         """The abstract state after ``joint`` leads from ``state`` to ``target``."""
-        key = (state, joint, target)
-        after = self.steps.get(key)
-        if after is None:
-            beliefs = tuple(
-                self._believe(state.q, a, joint[a], target, belief)
-                for a, belief in zip(self.knowers, state.beliefs)
-            )
-            caps = _narrow(state.caps, self.game.licensing(joint))
-            after = self.steps[key] = self._intern(target, caps, beliefs)
-        return after
+        beliefs = tuple(
+            self._believe(state.q, a, joint[a], target, belief)
+            for a, belief in zip(self.knowers, state.beliefs)
+        )
+        caps = _narrow(state.caps, self.game.licensing(joint))
+        return self._intern(target, caps, beliefs)
 
     def _believe(self, q, agent, action, target, belief) -> frozenset[Caps]:
         """Belief set update: every member extended by every joint action the
@@ -390,7 +386,7 @@ class Evaluator:
     def begin(self, goal: fm.TemporalFormula, state: _State) -> Progress:
         """Progress after reading the first position, at ``state``."""
         if isinstance(goal, fm.Next):
-            return None
+            return _UNREAD
         if not isinstance(goal, (fm.Until, fm.Release)):
             raise TypeError(f"not a temporal formula: {goal!r}")
         return self.advance(goal, _UNREAD, state)
@@ -399,11 +395,11 @@ class Evaluator:
         self, goal: fm.TemporalFormula, progress: Progress, state: _State
     ) -> Progress:
         """Progress after reading one more position, at ``state``."""
-        if progress is None:
-            return (self.value(goal.operand, state), Verdict.FALSE)
         a, b = progress
         if b is Verdict.FALSE:
             return progress
+        if isinstance(goal, fm.Next):
+            return (self.value(goal.operand, state), Verdict.FALSE)
         if isinstance(goal, fm.Until):
             a = or3(a, and3(b, self.value(goal.right, state)))
             if a is Verdict.TRUE:
@@ -441,16 +437,7 @@ def _evaluator(ctx: EvalContext, formula) -> Evaluator:
 
 def eval_path_formula(ctx: EvalContext, f: fm.PathFormula) -> Verdict:
     """The verdict of ``f`` at ``ctx``; a top-level ``K`` is answered by
-    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``.
-
-    Raises ``SearchDepthError`` when the search would run deeper than
-    ``MAX_SEARCH_DEPTH``."""
-    nesting = strategic_nesting(f)
-    if ctx.horizon * nesting > MAX_SEARCH_DEPTH:
-        raise SearchDepthError(
-            f"horizon {ctx.horizon} times strategic nesting {nesting} exceeds "
-            f"the search depth limit {MAX_SEARCH_DEPTH}"
-        )
+    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``."""
     if isinstance(f, fm.Know):
         return lift(
             eval_knowledge(ctx.game, ctx.path, ctx.index, f.agent, f.body)
@@ -772,7 +759,7 @@ def eval_strategic(
     root ranks 2, where a node takes the best choice and a choice needs all
     of its children at least 1 and one of them at 2.
     """
-    evaluator = _evaluator(ctx, goal)
+    evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
     search = evaluator.search(coalition, goal)
     return search.verdict(evaluator.fold(ctx.path, ctx.index))
 
@@ -842,7 +829,7 @@ def find_winning_strategy(
     ``_Search.first_tree``.  Given the context that decided the verdict, the
     walk reuses its ranks.  Raises ``ValueError`` if the tree fails
     ``validate_strategy_tree``."""
-    evaluator = _evaluator(ctx, goal)
+    evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
     search = evaluator.search(coalition, goal)
     start = search.start(evaluator.fold(ctx.path, ctx.index))
     pivot = ctx.path.states[ctx.index - 1]
@@ -867,7 +854,7 @@ def find_falsifying_pair(
     (``_Search.first_false_outcome``).  Raises ``ValueError`` if the tree
     fails ``validate_strategy_tree``.
     """
-    evaluator = _evaluator(ctx, goal)
+    evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
     search = evaluator.search(coalition, goal)
     prefix = ctx.path.prefix(ctx.index)
     pivot = prefix.last_state

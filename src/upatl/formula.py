@@ -24,9 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import AgentId, CapacityId, GameStructure, PropId
-
-KEYWORDS_TEMPORAL = ("N", "U", "R", "F", "G")
+from .model import KEYWORDS_TEMPORAL, AgentId, CapacityId, GameStructure, PropId
 
 # Deepest nesting the parser accepts.  Parsing, evaluation and rendering
 # recurse once per level, so a deeper formula would exhaust the interpreter's

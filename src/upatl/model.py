@@ -27,7 +27,9 @@ Move = tuple[JointAction, tuple[frozenset[CapacityId], ...], StateId]
 # Reserved proposition, labeled on every state by construction.  The formula
 # layer desugars "true"/"false" to this atom and its negation.
 TRUE_PROP = "true"
-RESERVED_PROPS = ("true", "false")
+# The words of the formula syntax; no proposition may be named by one.
+KEYWORDS_TEMPORAL = ("N", "U", "R", "F", "G")
+RESERVED_PROPS = ("true", "false", "K") + KEYWORDS_TEMPORAL
 
 
 # Violation kinds produced by validate_structure.

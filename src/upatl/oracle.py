@@ -128,34 +128,36 @@ def _trees(
     if not members or depth == 0:
         yield StrategyTree(coalition, pivot, depth, {})
         return
+    yield from _tree_walk(
+        game, pivot, coalition, members, depth, budget, ((pivot,),), ()
+    )
 
-    def walk(pending, decided):
-        if not pending:
-            budget.spend()
-            yield StrategyTree(coalition, pivot, depth, dict(decided))
-            return
-        history, rest = pending[0], pending[1:]
-        q = history[-1]
-        for choice in itertools.product(
-            *(sorted(game.protocols[a][q]) for a in members)
-        ):
-            budget.spend()
-            children = []
-            if len(history) < depth:
-                seen = set()
-                for joint in _joints(game, q):
-                    if all(
-                        joint[a] == x for a, x in zip(members, choice)
-                    ):
-                        target = game.transitions[(q, joint)]
-                        if target not in seen:
-                            seen.add(target)
-                            children.append(history + (target,))
-            yield from walk(
-                rest + tuple(children), decided + ((history, choice),)
-            )
 
-    yield from walk(((pivot,),), ())
+def _tree_walk(game, pivot, coalition, members, depth, budget, pending, decided):
+    """Every tree completing ``decided``, deciding ``pending`` in order."""
+    if not pending:
+        budget.spend()
+        yield StrategyTree(coalition, pivot, depth, dict(decided))
+        return
+    history, rest = pending[0], pending[1:]
+    q = history[-1]
+    for choice in itertools.product(
+        *(sorted(game.protocols[a][q]) for a in members)
+    ):
+        budget.spend()
+        children = []
+        if len(history) < depth:
+            seen = set()
+            for joint in _joints(game, q):
+                if all(joint[a] == x for a, x in zip(members, choice)):
+                    target = game.transitions[(q, joint)]
+                    if target not in seen:
+                        seen.add(target)
+                        children.append(history + (target,))
+        yield from _tree_walk(
+            game, pivot, coalition, members, depth, budget,
+            rest + tuple(children), decided + ((history, choice),),
+        )
 
 
 def _outcomes(
@@ -371,44 +373,42 @@ def atl_fixed_point(game: GameStructure, f: fm.PathFormula) -> frozenset[int]:
     Fixed points converge within ``|St|`` iterations.
     """
     _assert_capacity_free(game)
+    return _sat(game, f)
+
+
+def _sat(game: GameStructure, node: fm.PathFormula) -> frozenset[int]:
     everything = frozenset(game.states)
-
-    def sat(node: fm.PathFormula) -> frozenset[int]:
-        if isinstance(node, fm.Atom):
-            return frozenset(
-                q for q in game.states if node.prop in game.labels[q]
-            )
-        if isinstance(node, fm.Not):
-            return everything - sat(node.operand)
-        if isinstance(node, fm.And):
-            return sat(node.left) & sat(node.right)
-        if isinstance(node, fm.Know):
-            raise ValueError("knowledge operators have no fixed-point form")
-        if isinstance(node, fm.Strat):
-            goal = node.goal
-            if isinstance(goal, fm.Next):
-                return _pre(game, node.coalition, sat(goal.operand))
+    if isinstance(node, fm.Atom):
+        return frozenset(q for q in game.states if node.prop in game.labels[q])
+    if isinstance(node, fm.Not):
+        return everything - _sat(game, node.operand)
+    if isinstance(node, fm.And):
+        return _sat(game, node.left) & _sat(game, node.right)
+    if isinstance(node, fm.Know):
+        raise ValueError("knowledge operators have no fixed-point form")
+    if isinstance(node, fm.Strat):
+        goal = node.goal
+        if isinstance(goal, fm.Next):
+            return _pre(game, node.coalition, _sat(game, goal.operand))
+        if isinstance(goal, fm.Until):
+            left, right = _sat(game, goal.left), _sat(game, goal.right)
+            current: frozenset[int] = frozenset()
+        elif isinstance(goal, fm.Release):
+            left, right = _sat(game, goal.left), _sat(game, goal.right)
+            current = everything
+        else:
+            raise TypeError(f"not a temporal formula: {goal!r}")
+        for _ in range(len(game.state_names) + 1):
+            pre = _pre(game, node.coalition, current)
             if isinstance(goal, fm.Until):
-                left, right = sat(goal.left), sat(goal.right)
-                current: frozenset[int] = frozenset()
-            elif isinstance(goal, fm.Release):
-                left, right = sat(goal.left), sat(goal.right)
-                current = everything
+                updated = right | (left & pre)
             else:
-                raise TypeError(f"not a temporal formula: {goal!r}")
-            for _ in range(len(game.state_names) + 1):
-                pre = _pre(game, node.coalition, current)
-                if isinstance(goal, fm.Until):
-                    updated = right | (left & pre)
-                else:
-                    updated = right & (left | pre)
-                if updated == current:
-                    return current
-                current = updated
-            raise AssertionError("fixed point failed to converge")
-        raise TypeError(f"not a path formula: {node!r}")
-
-    return sat(f)
+                updated = right & (left | pre)
+            if updated == current:
+                return current
+            current = updated
+        raise AssertionError("fixed point failed to converge")
+    raise TypeError(f"not a path formula: {node!r}")
 
 
 # -- random game generation ----------------------------------------------------

@@ -540,6 +540,23 @@ class TestCheckState:
         assert check_state(g_mix, 0, f, at) is U
         with pytest.raises(SearchDepthError, match="search depth limit"):
             check_state(g_mix, 0, f, at + 1)
+        # Every entry point refuses it too.  A goal with ``f`` inside nests
+        # as deep as ``f``; the outcome serves at s0 throughout.
+        goal = parse_formula(f"<<opp>> G ({text})", g_mix).goal
+        serve = path_of(g_mix, "s0", ("watch", "serve"), "s0").actions
+        ctx = ctx_at(g_mix, Path((0,)), horizon=at)
+        assert eval_strategic(ctx, f.coalition, f.goal) is U
+        assert eval_temporal(ctx, goal, Path((0,) * (at + 1), serve * at)) is U
+        ctx = ctx_at(g_mix, Path((0,)), horizon=at + 1)
+        outcome = Path((0,) * (at + 2), serve * (at + 1))
+        for call in (
+            lambda: eval_strategic(ctx, f.coalition, f.goal),
+            lambda: find_winning_strategy(ctx, f.coalition, f.goal),
+            lambda: find_falsifying_pair(ctx, f.coalition, f.goal),
+            lambda: eval_temporal(ctx, goal, outcome),
+        ):
+            with pytest.raises(SearchDepthError, match="search depth limit"):
+                call()
 
 
 class TestOracleAgreement:

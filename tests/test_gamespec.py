@@ -102,9 +102,11 @@ class TestParseAndBind:
             parse_game(broken)
 
     def test_reserved_prop_rejected(self, hand_text):
-        broken = hand_text.replace("s0: start", "s0: start, true")
-        with pytest.raises(GameSpecError, match="reserved"):
-            load_game(broken)
+        # The formula syntax's words could never be read back as atoms.
+        for name in ("true", "false", "K", "N", "U", "R", "F", "G"):
+            broken = hand_text.replace("s0: start", f"s0: start, {name}")
+            with pytest.raises(GameSpecError, match=f"name {name!r} is reserved"):
+                load_game(broken)
 
     def test_unknown_transition_state_is_named(self, hand_text):
         for row in ("  t (watch, serve) -> s0", "  s0 (watch, serve) -> t"):

@@ -285,3 +285,17 @@ class TestConstruction:
                 protocol={("a", "q"): ["x"]},
                 transitions={("q", ("x",)): "q"},
             )
+
+    @pytest.mark.parametrize("name", ["K", "N", "U", "R", "F", "G"])
+    def test_keyword_prop_name_rejected_in_labels(self, name):
+        with pytest.raises(ValueError, match=f"^proposition name {name!r} is reserved$"):
+            model.build_game(
+                name="bad",
+                agents=["a"],
+                capacities={"a": ["c"]},
+                actions={"c": ["x"]},
+                states=["q"],
+                labels={"q": [name]},
+                protocol={("a", "q"): ["x"]},
+                transitions={("q", ("x",)): "q"},
+            )

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from upatl.checker import Verdict, canonical_assignment, check_state
@@ -95,6 +97,37 @@ class TestFixedPoint:
 
         with pytest.raises(ValueError, match="knowledge"):
             atl_fixed_point(game, Know(0, HasCap(0, 0)))
+
+
+def cyclic_garbage(call) -> int:
+    """Objects left to the cycle collector by a second ``call()``."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """An oracle call frees all it made by reference counting: no function
+    calls itself through a closure, which would be a reference cycle."""
+
+    def test_brute_force_eval(self, g_hand):
+        f = parse_formula("<<opp>> F leftHit", g_hand)
+        lam = canonical_assignment(g_hand)
+        left = cyclic_garbage(
+            lambda: brute_force_eval(g_hand, Path((0,)), 1, lam, f, 2)
+        )
+        assert left == 0
+
+    def test_atl_fixed_point(self):
+        game = two_state_chase(can_reach=True)
+        p = Atom(game.prop_names.index("p"))
+        f = Strat(frozenset({0}), Until(Atom(game.true_prop), p))
+        assert cyclic_garbage(lambda: atl_fixed_point(game, f)) == 0
 
 
 class TestGenerator:
