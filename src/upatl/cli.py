@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import time
 
@@ -105,23 +104,41 @@ def _state_id(game: GameStructure, name: str | None) -> int:
         raise InputError(f"unknown state {name!r}") from None
 
 
+def _joint_names(tokens) -> tuple[list[str], int]:
+    """The action names of a joint action whose ``(`` was just read, and the
+    offset past its ``)``: names separated by ``,``, then ``)``."""
+    names: list[str] = []
+    expected = ("ident", ")")
+    while True:
+        token = next(tokens)  # the last token, "end", is never expected
+        if token.kind not in expected:
+            found = token.text or "end of input"
+            raise FormulaError(f"unexpected {found!r} in a joint action", token.pos)
+        if token.kind == ")":
+            return names, token.pos + 1
+        if token.kind == "ident":
+            names.append(token.text)
+            expected = (",", ")")
+        else:
+            expected = ("ident",)
+
+
 def parse_path_literal(game: GameStructure, text: str) -> Path:
     """States and parenthesized joint actions, alternating:
-    ``s0 (watch, swingL) s1``."""
-    tokens = re.findall(r"\([^)]*\)|[A-Za-z_]\w*", text)
-    if not tokens:
-        raise InputError("empty path literal")
+    ``s0 (watch, swingL) s1``.  Read with the formula tokenizer, so that a
+    character outside its tokens is an error at its offset."""
     states: list[int] = []
     actions: list[tuple[int, ...]] = []
-    for i, token in enumerate(tokens):
-        if i % 2 == 0:
-            if token.startswith("("):
-                raise InputError(f"expected a state, found {token}")
-            states.append(_state_id(game, token))
-        else:
-            if not token.startswith("("):
-                raise InputError(f"expected a joint action, found {token!r}")
-            names = [part.strip() for part in token[1:-1].split(",") if part.strip()]
+    tokens = iter(fm.tokenize(text))
+    for token in tokens:
+        if token.kind == "ident":
+            if len(states) > len(actions):
+                raise InputError(f"expected a joint action, found {token.text!r}")
+            states.append(_state_id(game, token.text))
+        elif token.kind == "(":
+            names, end = _joint_names(tokens)
+            if len(states) == len(actions):
+                raise InputError(f"expected a state, found {text[token.pos : end]}")
             joint = []
             for name in names:
                 try:
@@ -129,6 +146,10 @@ def parse_path_literal(game: GameStructure, text: str) -> Path:
                 except ValueError:
                     raise InputError(f"unknown action {name!r}") from None
             actions.append(tuple(joint))
+        elif token.kind != "end":
+            raise FormulaError(f"unexpected {token.text!r} in a path literal", token.pos)
+    if not states:
+        raise InputError("empty path literal")
     if len(states) != len(actions) + 1:
         raise InputError("a path literal must end with a state")
     path = Path(tuple(states), tuple(actions))

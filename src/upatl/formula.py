@@ -145,7 +145,9 @@ class _Token:
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, then an "end" token; a character that starts
+    no token is a ``FormulaError`` at its offset."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -183,7 +185,7 @@ def _nested(parse):
 
 class _Parser:
     def __init__(self, text: str, game: GameStructure):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.game = game
         self.at = 0
         self.depth = 0
@@ -213,29 +215,13 @@ class _Parser:
             )
         return self.advance()
 
-    # identifier lookups ------------------------------------------------
-
-    def agent_id(self, token: _Token) -> AgentId:
+    def lookup(self, names: tuple[str, ...], token: _Token, what: str) -> int:
+        """The id of ``token``'s name, its index in ``names``; ``what`` names
+        the kind of name in the error for an unknown one."""
         try:
-            return self.game.agent_names.index(token.text)
+            return names.index(token.text)
         except ValueError:
-            raise FormulaError(f"unknown agent {token.text!r}", token.pos) from None
-
-    def capacity_id(self, token: _Token) -> CapacityId:
-        try:
-            return self.game.capacity_names.index(token.text)
-        except ValueError:
-            raise FormulaError(
-                f"unknown capacity {token.text!r}", token.pos
-            ) from None
-
-    def prop_id(self, token: _Token) -> PropId:
-        try:
-            return self.game.prop_names.index(token.text)
-        except ValueError:
-            raise FormulaError(
-                f"unknown proposition {token.text!r}", token.pos
-            ) from None
+            raise FormulaError(f"unknown {what} {token.text!r}", token.pos) from None
 
     # path formulas -------------------------------------------------------
 
@@ -284,7 +270,9 @@ class _Parser:
             if token.text == "K":
                 self.advance()
                 self.expect("[")
-                agent = self.agent_id(self.expect("ident"))
+                agent = self.lookup(
+                    self.game.agent_names, self.expect("ident"), "agent"
+                )
                 self.expect("]")
                 self.expect("(")
                 body = self.parse_capf()
@@ -301,7 +289,7 @@ class _Parser:
                 return self.true_atom
             if token.text == "false":
                 return Not(self.true_atom)
-            return Atom(self.prop_id(token))
+            return Atom(self.lookup(self.game.prop_names, token, "proposition"))
         raise FormulaError(
             f"expected a formula, found {token.text or 'end of input'!r}",
             token.pos,
@@ -311,11 +299,12 @@ class _Parser:
         members: set[AgentId] = set()
         if self.peek().kind == ">>":
             return frozenset()
-        members.add(self.agent_id(self.expect("ident")))
-        while self.peek().kind == ",":
+        while True:
+            token = self.expect("ident")
+            members.add(self.lookup(self.game.agent_names, token, "agent"))
+            if self.peek().kind != ",":
+                return frozenset(members)
             self.advance()
-            members.add(self.agent_id(self.expect("ident")))
-        return frozenset(members)
 
     def parse_temporal(self) -> TemporalFormula:
         token = self.peek()
@@ -359,9 +348,11 @@ class _Parser:
             inner = self.parse_capf()
             self.expect(")")
             return inner
-        agent = self.agent_id(self.expect("ident"))
+        agent = self.lookup(self.game.agent_names, self.expect("ident"), "agent")
         self.expect("=")
-        capacity = self.capacity_id(self.expect("ident"))
+        capacity = self.lookup(
+            self.game.capacity_names, self.expect("ident"), "capacity"
+        )
         return HasCap(agent, capacity)
 
 
@@ -401,7 +392,7 @@ def _render_unary(f: PathFormula, game: GameStructure) -> str:
     if isinstance(f, Atom):
         return game.prop_names[f.prop]
     if isinstance(f, Not):
-        return f"!{_render_unary_operand(f.operand, game)}"
+        return f"!{_render_unary(f.operand, game)}"
     if isinstance(f, Know):
         return f"K[{game.agent_names[f.agent]}]({_render_capf(f.body, game)})"
     if isinstance(f, Strat):
@@ -414,15 +405,9 @@ def _render_unary(f: PathFormula, game: GameStructure) -> str:
     raise TypeError(f"not a path formula: {f!r}")
 
 
-def _render_unary_operand(f: PathFormula, game: GameStructure) -> str:
-    if isinstance(f, And):
-        return f"({_render_phi(f, game)})"
-    return _render_unary(f, game)
-
-
 def _render_temporal(t: TemporalFormula, game: GameStructure) -> str:
     if isinstance(t, Next):
-        return f"N {_render_unary_operand(t.operand, game)}"
+        return f"N {_render_unary(t.operand, game)}"
     if isinstance(t, Until):
         return f"({_render_phi(t.left, game)}) U ({_render_phi(t.right, game)})"
     if isinstance(t, Release):

@@ -192,6 +192,13 @@ def _declare(pairs: list[tuple[str, int]], what: str) -> dict[str, None]:
     return names
 
 
+def _distinct(names: list[str], line: int, what: str) -> list[str]:
+    """The names of one row; a name listed twice is an error."""
+    if len(set(names)) < len(names):
+        _declare([(name, line) for name in names], what)
+    return names
+
+
 def bind_with_report(
     doc: GameDocument,
 ) -> tuple[GameStructure, list[Diagnostic]]:
@@ -214,7 +221,7 @@ def bind_with_report(
             _fail(line, f"unknown agent {agent!r}")
         if agent in capacities:
             _fail(line, f"duplicate capacities for agent {agent!r}")
-        capacities[agent] = caps
+        capacities[agent] = _distinct(caps, line, "capacity")
     known_caps = {cap for caps in capacities.values() for cap in caps}
 
     actions: dict[str, list[str]] = {}
@@ -223,7 +230,7 @@ def bind_with_report(
             _fail(line, f"unknown capacity {cap!r}")
         if cap in actions:
             _fail(line, f"duplicate actions for capacity {cap!r}")
-        actions[cap] = acts
+        actions[cap] = _distinct(acts, line, "action")
     known_acts = {act for acts in actions.values() for act in acts}
 
     labels: dict[str, list[str]] = {}
@@ -235,7 +242,7 @@ def bind_with_report(
         for prop in props:
             if prop in RESERVED_PROPS:
                 _fail(line, f"proposition name {prop!r} is reserved")
-        labels[state] = props
+        labels[state] = _distinct(props, line, "proposition")
 
     protocol: dict[tuple[str, str], list[str]] = {}
     proto_lines: dict[tuple[str, str], int] = {}
@@ -249,7 +256,7 @@ def bind_with_report(
         for act in acts:
             if act not in known_acts:
                 _fail(line, f"unknown action {act!r}")
-        protocol[(agent, state)] = acts
+        protocol[(agent, state)] = _distinct(acts, line, "action")
         proto_lines[(agent, state)] = line
 
     transitions: dict[tuple[str, tuple[str, ...]], str] = {}

@@ -75,14 +75,11 @@ class GameStructure:
     protocols: tuple[tuple[frozenset[ActionId], ...], ...]  # [agent][state]
     transitions: dict[tuple[StateId, JointAction], StateId]
     init_state: StateId | None = None
-    # Move tables, filled lazily by ``licensing`` (joint action -> tuple) and
-    # ``choices`` ((state, members) -> dict), the one table of moves.
-    # Derived from the fields above, which never change, and never copied by
-    # ``dataclasses.replace``.
+    # The one table of moves, filled lazily by ``choices`` ((state, members)
+    # -> dict): every move there carries its licensing, so no step looks it
+    # up again.  Derived from the fields above, which never change, and never
+    # copied by ``dataclasses.replace``.
     _choices: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _licensing: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -171,17 +168,12 @@ class GameStructure:
 
     def licensing(self, joint: JointAction) -> tuple[frozenset[CapacityId], ...]:
         """Per agent, the capacities of that agent licensing its action."""
-        table = self._licensing.get(joint)
-        if table is None:
-            table = self._licensing[joint] = tuple(
-                frozenset(
-                    c
-                    for c in self.agent_capacities[a]
-                    if x in self.capacity_actions[c]
-                )
-                for a, x in enumerate(joint)
+        return tuple(
+            frozenset(
+                c for c in self.agent_capacities[a] if x in self.capacity_actions[c]
             )
-        return table
+            for a, x in enumerate(joint)
+        )
 
     def choices(
         self, state: StateId, members: tuple[AgentId, ...]

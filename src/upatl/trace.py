@@ -211,6 +211,14 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
     return problems
 
 
+def check_strategy_tree(game: GameStructure, tree: StrategyTree) -> None:
+    """Raise ``ValueError`` naming every problem ``validate_strategy_tree``
+    finds in ``tree``."""
+    problems = validate_strategy_tree(game, tree)
+    if problems:
+        raise ValueError("invalid strategy tree: " + "; ".join(problems))
+
+
 def outcomes_bounded(
     game: GameStructure, path: Path, tree: StrategyTree, steps: int
 ) -> frozenset[Path]:
@@ -222,9 +230,7 @@ def outcomes_bounded(
     are pruned as soon as theirs empties, which is equivalent because the set
     is antitone along prefixes).
     """
-    problems = validate_strategy_tree(game, tree)
-    if problems:
-        raise ValueError("invalid strategy tree: " + "; ".join(problems))
+    check_strategy_tree(game, tree)
     if tree.pivot != path.last_state:
         raise ValueError("strategy pivot must equal the path's last state")
     if tree.depth < steps:
