@@ -49,8 +49,9 @@ lead to ``t``, so the new belief set depends only on the old one and on
 extension is a function of the prefix's abstract state and the steps taken.
 A nested ``<<...>>`` explores extensions only, starting from the compatible
 sets, so it too depends on the prefix only through its abstract state.
-Each state subformula is therefore memoized on (formula node, abstract
-state).
+Every state subformula, and so goal progress, therefore has one verdict per
+abstract state, which lets the search memos below key nodes by abstract
+states.  Verdicts themselves are not memoized: few are asked for twice.
 
 Goals progress forward.  With FALSE < UNKNOWN < TRUE, strong-Kleene ``&``
 and ``|`` are min and max, a distributive lattice.  The bounded until unrolls
@@ -153,10 +154,10 @@ class EvalContext:
             raise ValueError("horizon must be nonnegative")
         if len(self.assignment) != self.game.agent_count:
             raise ValueError("ambient capacity assignment must be complete")
-        if self.evaluator is not None and (
-            self.evaluator.game is not self.game
-            or self.evaluator.horizon != self.horizon
-        ):
+        evaluator = self.evaluator
+        if evaluator is None:
+            return
+        if evaluator.game is not self.game or evaluator.horizon != self.horizon:
             raise ValueError("evaluator is for another game or horizon")
 
 
@@ -274,9 +275,9 @@ class _State:
 
 
 class Evaluator:
-    """The memos of one top-level call: abstract states, subformula verdicts
-    (keyed by formula node identity), and the ranks and node expansions of
-    each strategic operator's search.
+    """The memos of one top-level call: abstract states, and the ranks and
+    node expansions of each strategic operator's search (keyed by the
+    identity of its goal node).
 
     ``formula`` must contain every formula evaluated with this evaluator: its
     ``K[...]`` agents are the ones whose belief sets the states carry, and
@@ -301,7 +302,6 @@ class Evaluator:
             sorted({g.agent for g, _ in nodes if isinstance(g, fm.Know)})
         )
         self.interned: dict[tuple, _State] = {}
-        self.values: dict[tuple, Verdict] = {}
         self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
         self.expansions: dict[tuple, dict] = {}  # by (coalition, id(goal))
 
@@ -345,13 +345,6 @@ class Evaluator:
         return frozenset(out)
 
     def value(self, f: fm.PathFormula, state: _State) -> Verdict:
-        key = (id(f), state)
-        got = self.values.get(key)
-        if got is None:
-            got = self.values[key] = self._evaluate(f, state)
-        return got
-
-    def _evaluate(self, f: fm.PathFormula, state: _State) -> Verdict:
         if isinstance(f, fm.Atom):
             return lift(f.prop in self.game.labels[state.q])
         if isinstance(f, fm.Know):
@@ -721,8 +714,7 @@ class _Search:
         """
         if len(history) > self.horizon:
             return ((), ()) if _final(progress) is Verdict.FALSE else None
-        decided = progress is not None and progress[1] is Verdict.FALSE
-        if decided and progress[0] is not Verdict.FALSE:
+        if progress[1] is Verdict.FALSE and progress[0] is not Verdict.FALSE:
             return None
         evaluator = self.evaluator
         moves = evaluator.game.choices(history[-1], self.members)[

@@ -91,6 +91,15 @@ def _read_game(path: str) -> GameStructure:
     return load_game(_read_text(path))
 
 
+def _lookup(names: tuple[str, ...], name, what: str) -> int:
+    """The id of ``name``, its index in ``names``; ``what`` names the kind of
+    name in the error for an unknown one."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise InputError(f"unknown {what} {name!r}") from None
+
+
 def _state_id(game: GameStructure, name: str | None) -> int:
     if name is None:
         if game.init_state is None:
@@ -98,10 +107,7 @@ def _state_id(game: GameStructure, name: str | None) -> int:
                 "the game file has no init state; pass one with -s"
             )
         return game.init_state
-    try:
-        return game.state_names.index(name)
-    except ValueError:
-        raise InputError(f"unknown state {name!r}") from None
+    return _lookup(game.state_names, name, "state")
 
 
 def _joint_names(tokens) -> tuple[list[str], int]:
@@ -139,13 +145,9 @@ def parse_path_literal(game: GameStructure, text: str) -> Path:
             names, end = _joint_names(tokens)
             if len(states) == len(actions):
                 raise InputError(f"expected a state, found {text[token.pos : end]}")
-            joint = []
-            for name in names:
-                try:
-                    joint.append(game.action_names.index(name))
-                except ValueError:
-                    raise InputError(f"unknown action {name!r}") from None
-            actions.append(tuple(joint))
+            actions.append(
+                tuple(_lookup(game.action_names, name, "action") for name in names)
+            )
         elif token.kind != "end":
             raise FormulaError(f"unexpected {token.text!r} in a path literal", token.pos)
     if not states:
@@ -292,30 +294,35 @@ def _read_node(
         if not isinstance(value, dict):
             raise InputError(f"{key} of strategy node at {where} is not an object")
     if members:
-        try:
-            decisions[history] = tuple(
-                game.action_names.index(actions[game.agent_names[a]])
-                for a in members
-            )
-        except (KeyError, ValueError) as err:
-            raise InputError(
-                f"malformed strategy decision at {where}: {err}"
-            ) from None
+        decision = []
+        for a in members:
+            agent = game.agent_names[a]
+            if agent not in actions:
+                raise InputError(
+                    f"malformed strategy decision at {where}: no action for {agent!r}"
+                )
+            decision.append(_lookup(game.action_names, actions[agent], "action"))
+        decisions[history] = tuple(decision)
     for state_name, child in children.items():
-        try:
-            child_state = game.state_names.index(state_name)
-        except ValueError:
-            raise InputError(f"unknown state {state_name!r}") from None
+        child_state = _lookup(game.state_names, state_name, "state")
         _read_node(game, members, child, history + (child_state,), decisions)
 
 
-def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
-    try:
-        coalition = frozenset(
-            game.agent_names.index(name) for name in data["coalition"]
+def _tree_from_json(game: GameStructure, data) -> StrategyTree:
+    if not isinstance(data, dict):
+        raise InputError("malformed strategy file: not a JSON object")
+    for key in ("coalition", "pivot", "depth"):
+        if key not in data:
+            raise InputError(f"malformed strategy file: missing {key!r}")
+    names = data["coalition"]
+    if not isinstance(names, list):
+        raise InputError(
+            f"malformed strategy file: coalition must be a list, not {names!r}"
         )
-        pivot = game.state_names.index(data["pivot"])
-        depth = data["depth"]
+    coalition = frozenset(_lookup(game.agent_names, name, "agent") for name in names)
+    pivot = _lookup(game.state_names, data["pivot"], "state")
+    depth = data["depth"]
+    try:
         # int() alone would run 1.5, "1" and true as depth 1.  An infinite
         # depth (JSON's 1e400) fails in int() with its own message.
         if (
@@ -327,7 +334,7 @@ def _tree_from_json(game: GameStructure, data: dict) -> StrategyTree:
         depth = int(depth)
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, not {depth}")
-    except (KeyError, ValueError, TypeError, OverflowError) as err:
+    except (ValueError, OverflowError) as err:
         raise InputError(f"malformed strategy file: {err}") from None
     decisions: dict[tuple[int, ...], tuple[int, ...]] = {}
     root = data.get("root", {"actions": {}, "children": {}})
@@ -509,10 +516,7 @@ def _cmd_compat(args) -> int:
 def _cmd_classes(args) -> int:
     game = _read_game(args.game)
     path = parse_path_literal(game, args.path)
-    try:
-        agent = game.agent_names.index(args.agent)
-    except ValueError:
-        raise InputError(f"unknown agent {args.agent!r}") from None
+    agent = _lookup(game.agent_names, args.agent, "agent")
     members = sorted(
         indistinguishability_class(game, path, agent),
         key=lambda p: p.actions,

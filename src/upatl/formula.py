@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import KEYWORDS_TEMPORAL, AgentId, CapacityId, GameStructure, PropId
+from .model import IDENT, KEYWORDS_TEMPORAL, AgentId, CapacityId, GameStructure, PropId
 
 # Deepest nesting the parser accepts.  Parsing, evaluation and rendering
 # recurse once per level, so a deeper formula would exhaust the interpreter's
@@ -133,8 +133,7 @@ def cap_or(left: CapFormula, right: CapFormula) -> CapFormula:
 # -- tokenizer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym><<|>>|->|[()\[\]|&!=,]))"
+    rf"\s*(?:(?P<ident>{IDENT})|(?P<sym><<|>>|->|[()\[\]|&!=,]))"
 )
 
 
@@ -169,6 +168,15 @@ def tokenize(text: str) -> list[_Token]:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _refuse_temporal(token: _Token) -> None:
+    """A temporal operator where a path formula stands is misplaced."""
+    if token.kind == "ident" and token.text in KEYWORDS_TEMPORAL:
+        raise FormulaError(
+            f"temporal operator {token.text!r} outside a strategic operator",
+            token.pos,
+        )
 
 
 def _nested(parse):
@@ -278,12 +286,7 @@ class _Parser:
                 body = self.parse_capf()
                 self.expect(")")
                 return Know(agent, body)
-            if token.text in KEYWORDS_TEMPORAL:
-                raise FormulaError(
-                    f"temporal operator {token.text!r} outside a strategic "
-                    "operator",
-                    token.pos,
-                )
+            _refuse_temporal(token)
             self.advance()
             if token.text == "true":
                 return self.true_atom
@@ -361,12 +364,7 @@ def parse_formula(text: str, game: GameStructure) -> PathFormula:
     result = parser.parse_phi()
     trailing = parser.peek()
     if trailing.kind != "end":
-        if trailing.kind == "ident" and trailing.text in KEYWORDS_TEMPORAL:
-            raise FormulaError(
-                f"temporal operator {trailing.text!r} outside a strategic "
-                "operator",
-                trailing.pos,
-            )
+        _refuse_temporal(trailing)
         raise FormulaError(
             f"unexpected trailing input {trailing.text!r}", trailing.pos
         )

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from .model import (
     CAPACITY_MISSING_ACTION,
     EMPTY_CAPACITIES,
+    IDENT,
     MISSING_TRANSITION,
     PROTOCOL_OUTSIDE_CAPACITIES,
     RESERVED_PROPS,
@@ -47,9 +48,9 @@ from .model import (
     validate_structure,
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_PROTOCOL_ROW = re.compile(r"([A-Za-z_]\w*)\s*@\s*([A-Za-z_]\w*)\s*:\s*(.*)\Z")
-_TRANSITION_ROW = re.compile(r"([A-Za-z_]\w*)\s*\(([^)]*)\)\s*->\s*([A-Za-z_]\w*)\Z")
+_IDENT = re.compile(rf"{IDENT}\Z")
+_PROTOCOL_ROW = re.compile(rf"({IDENT})\s*@\s*({IDENT})\s*:\s*(.*)\Z")
+_TRANSITION_ROW = re.compile(rf"({IDENT})\s*\(([^)]*)\)\s*->\s*({IDENT})\Z")
 _SECTIONS = (
     "agents",
     "capacities",
@@ -104,7 +105,9 @@ class GameDocument:
 
 
 def _idents(raw: str, line: int) -> list[str]:
-    names = [part.strip() for part in raw.split(",") if part.strip()]
+    """The names of a comma-separated list; a blank list is empty, and an
+    empty name between commas is an invalid identifier."""
+    names = [part.strip() for part in raw.split(",")] if raw.strip() else []
     for name in names:
         if not _IDENT.match(name):
             _fail(line, f"invalid identifier {name!r}")
@@ -155,8 +158,7 @@ def parse_game(text: str) -> GameDocument:
             key = key.strip()
             if not sep or not _IDENT.match(key):
                 _fail(lineno, f"expected '<name>: ...', got {line!r}")
-            values = _idents(rest, lineno) if rest.strip() else []
-            getattr(doc, section).append((key, values, lineno))
+            getattr(doc, section).append((key, _idents(rest, lineno), lineno))
         elif section == "protocol":
             match = _PROTOCOL_ROW.match(line)
             if not match:

@@ -24,6 +24,9 @@ JointAction = tuple[ActionId, ...]
 # A move: joint action, per-agent licensing capacities, successor state.
 Move = tuple[JointAction, tuple[frozenset[CapacityId], ...], StateId]
 
+# The syntax of every name, in game files and formulas alike.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # Reserved proposition, labeled on every state by construction.  The formula
 # layer desugars "true"/"false" to this atom and its negation.
 TRUE_PROP = "true"

@@ -559,6 +559,35 @@ class TestCheckState:
                 call()
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "index, horizon, assignment, message",
+        [
+            (0, 0, None, "index out of range for the path"),
+            (2, 0, None, "index out of range for the path"),
+            (1, -1, None, "horizon must be nonnegative"),
+            (1, 0, (0,), "ambient capacity assignment must be complete"),
+        ],
+        ids=["index-zero", "index-past-end", "negative-horizon", "incomplete-assignment"],
+    )
+    def test_context(self, g_hand, index, horizon, assignment, message):
+        with pytest.raises(ValueError, match=message):
+            ctx_at(g_hand, Path((0,)), index, horizon, assignment)
+
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_outcome_length(self, g_hand, states):
+        # Horizon 1 from position 1 reads exactly two states.
+        goal = parse_formula("<<opp>> N leftHit", g_hand).goal
+        outcome = Path((0,) * states, ((0, 1),) * (states - 1))
+        with pytest.raises(ValueError, match="outcome does not match the horizon"):
+            eval_temporal(ctx_at(g_hand, Path((0,)), horizon=1), goal, outcome)
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_unknown_state(self, g_hand, state):
+        with pytest.raises(ValueError, match=f"unknown state id {state}"):
+            check_state(g_hand, state, parse_formula("start", g_hand), 0)
+
+
 class TestOracleAgreement:
     """Spot agreement with the brute-force route; the exhaustive sweep lives
     in the acceptance suite."""

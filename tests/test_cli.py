@@ -3,6 +3,8 @@ import gc
 import io
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path as FsPath
@@ -452,6 +454,19 @@ class TestFmtAndGen:
         assert code == 0
         game = load_game(target.read_text())
         assert len(game.state_names) == 4
+
+    def test_readme_command_lines_run(self, capsys, tmp_path, monkeypatch):
+        # Every example of the README's command-line block, from a copy of
+        # the repository's games, ends in a verdict or plain success.
+        readme = (GAMES_DIR.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        assert lines and all(line.startswith("upatl ") for line in lines)
+        shutil.copytree(GAMES_DIR, tmp_path / "games")
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, _, err = run(capsys, *shlex.split(line)[1:])
+            assert code in (0, 1, 2), (line, err)
 
     def test_gen_deterministic(self, capsys):
         _, out1, _ = run(capsys, "gen", "--seed", "11")

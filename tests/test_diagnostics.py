@@ -76,6 +76,13 @@ GAME_CASES = [
     ("malformed-protocol-row", {14: "  a s: x"}, 14, "expected '<agent> @ <state>: actions', got 'a s: x'"),
     ("malformed-transition-row", {16: "  s x -> s"}, 16, "expected '<state> (act, ...) -> <state>', got 's x -> s'"),
     ("invalid-identifier", {3: "  a, 2b"}, 3, "invalid identifier '2b'"),
+    # Names are separated by single commas: an empty name is invalid.
+    ("empty-agent", {3: "  a,, b"}, 3, "invalid identifier ''"),
+    ("empty-capacity", {5: "  a: c,"}, 5, "invalid identifier ''"),
+    ("empty-joint-action", {16: "  s (x,) -> s"}, 16, "invalid identifier ''"),
+    # Row patterns read names as ASCII identifiers, like every other list.
+    ("non-ascii-protocol-state", {14: "  a @ sé: x"}, 14, "expected '<agent> @ <state>: actions', got 'a @ sé: x'"),
+    ("non-ascii-transition-state", {16: "  s (x) -> sé"}, 16, "expected '<state> (act, ...) -> <state>', got 's (x) -> sé'"),
     ("duplicate-agent", {3: "  a, a"}, 3, "duplicate agent 'a'"),
     ("duplicate-state", {9: "  s, s"}, 9, "duplicate state 's'"),
     ("no-agent", {3: None}, 2, "at least one agent is required"),
@@ -135,7 +142,16 @@ def test_path_literal_diagnostic(capsys, literal, message):
 @pytest.mark.parametrize(
     "strategy, message",
     [
-        ({}, "malformed strategy file: 'coalition'"),
+        ([], "malformed strategy file: not a JSON object"),
+        ({}, "malformed strategy file: missing 'coalition'"),
+        ({"coalition": ["opp"], "depth": 1}, "malformed strategy file: missing 'pivot'"),
+        ({"coalition": ["opp"], "pivot": "s0"}, "malformed strategy file: missing 'depth'"),
+        (
+            {"coalition": 5, "pivot": "s0", "depth": 1},
+            "malformed strategy file: coalition must be a list, not 5",
+        ),
+        ({"coalition": ["nobody"], "pivot": "s0", "depth": 1}, "unknown agent 'nobody'"),
+        ({"coalition": ["opp"], "pivot": "s9", "depth": 1}, "unknown state 's9'"),
         (
             {"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": []},
             "strategy node at s0 is not an object",
@@ -150,7 +166,11 @@ def test_path_literal_diagnostic(capsys, literal, message):
         ),
         (
             {"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": {}},
-            "malformed strategy decision at s0: 'opp'",
+            "malformed strategy decision at s0: no action for 'opp'",
+        ),
+        (
+            {"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": {"actions": {"opp": "smash"}}},
+            "unknown action 'smash'",
         ),
         (
             {
@@ -190,11 +210,18 @@ def test_path_literal_diagnostic(capsys, literal, message):
         ),
     ],
     ids=[
+        "not-an-object",
         "no-coalition",
+        "no-pivot",
+        "no-depth",
+        "coalition-not-a-list",
+        "coalition-unknown-agent",
+        "unknown-pivot",
         "node",
         "node-actions",
         "node-children",
         "node-decision",
+        "node-unknown-action",
         "node-child-state",
         "tree-incomplete",
         "tree-pivot",
@@ -208,9 +235,51 @@ def test_strategy_file_diagnostic(capsys, tmp_path, strategy, message):
     assert got == (65, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "coalition", ["a", "aa", "", {"a": 1}], ids=["name", "letters", "empty", "object"]
+)
+def test_strategy_coalition_must_be_a_list(capsys, tmp_path, coalition):
+    # A string is not read as its letters, even where each names an agent.
+    game = tmp_path / "base.game"
+    game.write_text(BASE)
+    target = tmp_path / "strategy.json"
+    target.write_text(json.dumps({"coalition": coalition, "pivot": "s", "depth": 1}))
+    got = run(capsys, "outcomes", str(game), "-p", "s", "--strategy", str(target), "-k", "1")
+    message = f"malformed strategy file: coalition must be a list, not {coalition!r}"
+    assert got == (65, "", f"error: {message}\n")
+
+
 def test_formula_unexpected_character(capsys):
     got = run(capsys, "check", HAND, "-f", "start & $", "-k", "1")
     assert got == (65, "", "error: unexpected character '$' (at offset 8)\n")
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        ("(start", "expected ')', found 'end of input' (at offset 6)"),
+        ("K[obs] start", "expected '(', found 'start' (at offset 7)"),
+    ],
+    ids=["unclosed", "knowledge-without-body"],
+)
+def test_formula_expected_token(capsys, formula, message):
+    got = run(capsys, "check", HAND, "-f", formula, "-k", "1")
+    assert got == (65, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["check", HAND, "-f", "start", "-k", "-1"], 64, "usage error: horizon must be nonnegative"),
+        (["gen", "--seed", "1", "--states", "9"], 64, "usage error: states must be between 1 and 5"),
+        (["gen", "--seed", "1", "--caps", "3"], 64, "usage error: capacities per agent must be 1 or 2"),
+        (["gen", "--seed", "1", "--acts", "3"], 64, "usage error: actions per capacity must be 1 or 2"),
+        (["classes", HAND, "-p", "s0", "-a", "nobody"], 65, "error: unknown agent 'nobody'"),
+    ],
+    ids=["negative-horizon", "gen-states", "gen-caps", "gen-acts", "classes-unknown-agent"],
+)
+def test_option_diagnostic(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"{message}\n")
 
 
 def test_certificate_without_decisions(capsys):

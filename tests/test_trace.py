@@ -64,6 +64,31 @@ class TestTraces:
             for rho in all_paths(g_hand, 0, steps):
                 assert len(rho.states) == len(rho.actions) + 1
 
+    @pytest.mark.parametrize(
+        "states, actions, message",
+        [
+            ((), (), "a path has at least one state"),
+            ((0, 0), (), "a finite path alternates states and actions"),
+            ((0,), ((0, 1),), "a finite path alternates states and actions"),
+        ],
+        ids=["no-state", "missing-action", "extra-action"],
+    )
+    def test_malformed_path(self, states, actions, message):
+        with pytest.raises(ValueError, match=message):
+            Path(states, actions)
+
+    @pytest.mark.parametrize("n_states", [0, 3])
+    def test_prefix_out_of_range(self, g_hand, n_states):
+        rho = path_of(g_hand, "s0", ("watch", "swingL"), "s1")
+        with pytest.raises(ValueError, match=f"prefix of {n_states} states out of range"):
+            rho.prefix(n_states)
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_validate_path_unknown_state(self, g_hand, state):
+        assert not validate_path(g_hand, Path((state,)))
+        serve = path_of(g_hand, "s0", ("watch", "serve"), "s0").actions
+        assert not validate_path(g_hand, Path((0, state), serve))
+
     def test_validate_path(self, g_hand):
         good = path_of(g_hand, "s0", ("watch", "swingL"), "s1")
         bad = path_of(g_hand, "s0", ("watch", "swingL"), "s2")
@@ -355,6 +380,21 @@ class TestOutcomes:
         tree = StrategyTree(coalition=frozenset(), pivot=0, depth=8)
         assert validate_strategy_tree(g_mix, tree) == []
         assert calls == []
+
+    def test_unknown_coalition_agent(self, g_hand):
+        tree = StrategyTree(frozenset({2}), 0, 1, {(0,): (0,)})
+        assert validate_strategy_tree(g_hand, tree) == [
+            "coalition contains an unknown agent"
+        ]
+
+    @pytest.mark.parametrize("decision", [(), ("serve", "serve")])
+    def test_decision_arity(self, g_hand, decision):
+        opp = g_hand.agent_names.index("opp")
+        actions = tuple(g_hand.action_names.index(name) for name in decision)
+        tree = StrategyTree(frozenset({opp}), 0, 1, {(0,): actions})
+        assert validate_strategy_tree(g_hand, tree) == [
+            "decision arity does not match the coalition"
+        ]
 
     def test_pivot_mismatch(self, g_hand):
         tree = opp_tree(g_hand, {("s0",): "swingL"}, depth=1)
