@@ -5,7 +5,7 @@ Samples random (game, state, formula) instances, over the example games in
 ``games/*.game`` and randomly generated games, and tabulates the verdict
 distribution per horizon.  Decided verdicts never flip, so the UNKNOWN
 column can only shrink as k increases; this shows how quickly it does on
-random instances.
+random instances.  The last line is the wall time of the checks.
 
     python3 scripts/horizon_profile.py --instances 300 --k-max 5
 """
@@ -13,6 +13,7 @@ random instances.
 import argparse
 import random
 import sys
+import time
 from collections import Counter
 from pathlib import Path as FsPath
 
@@ -48,6 +49,7 @@ def main() -> int:
         for f in formula_templates(game, include_deep=False)
     ]
 
+    started = time.perf_counter()
     counts = {k: Counter() for k in range(args.k_max + 1)}
     flips = 0
     for _ in range(args.instances):
@@ -61,6 +63,7 @@ def main() -> int:
                 if verdict is not previous:
                     flips += 1
             previous = verdict
+    elapsed = time.perf_counter() - started
     header = f"{'k':>3} {'TRUE':>8} {'FALSE':>8} {'UNKNOWN':>8}"
     print(header)
     for k in range(args.k_max + 1):
@@ -70,6 +73,7 @@ def main() -> int:
             f"{row[Verdict.UNKNOWN]:>8}"
         )
     print(f"decided-verdict flips: {flips}")
+    print(f"elapsed: {elapsed:.1f}s")
     return 1 if flips else 0
 
 

@@ -66,16 +66,18 @@ backward value.  Release is the dual ``u_j = r_j & (l_j | u_j+1)``, and maps
 undecided pair ends UNKNOWN.  Next starts there too, skips the first
 position, and maps to ``(v, FALSE)`` at the second, where its operand is v.
 
-Why equal nodes get equal ranks.  A search node's rank depends on its depth
-and on the set of its branches, each an (abstract state, progress) pair: the
-leaf rules read only the progress and the compatible sets, the choices only
-the last state, and the expansion of a branch is a function of the pair.
-Duplicates do not matter, since the leaf rules ask "every" and "some".  So
-ranks are memoized on (leaf rule, depth, branch set).  A node's expansion
-under a choice, its children grouped by target, depends on neither the depth
-nor the leaf rule, so expansions are memoized on (branch set, choice) alone
-and shared by both rank passes and the witness walk.  Every memo belongs to
-one ``Evaluator``, made per top-level call; nothing outlives it.
+Why equal nodes get equal ranks.  A search node's rank depends on the steps
+left below it and on the set of its branches, each an (abstract state,
+progress) pair: the leaf rules read only the progress and the compatible
+sets, the choices only the last state, and the expansion of a branch is a
+function of the pair.  Duplicates do not matter, since the leaf rules ask
+"every" and "some".  So ranks are memoized on (leaf rule, steps left, branch
+set).  A node's expansion under a choice, its children grouped by target,
+depends on neither the steps left nor the leaf rule, so expansions are
+memoized on (branch set, choice) alone and shared by both rank passes and the
+witness walk; once a goal nests ``<<...>>``, they hold its verdicts at the
+evaluator's horizon.  Every memo belongs to one ``Evaluator``, made per
+top-level call; nothing outlives it.
 """
 
 from __future__ import annotations
@@ -364,18 +366,8 @@ class Evaluator:
                 return Verdict.FALSE
             return and3(left, self.value(f.right, state))
         if isinstance(f, fm.Strat):
-            return self.search(f.coalition, f.goal).verdict(state)
+            return _Search(self, f.coalition, f.goal).verdict(state)
         raise TypeError(f"not a path formula: {f!r}")
-
-    def search(
-        self, coalition: frozenset[AgentId], goal: fm.TemporalFormula
-    ) -> _Search:
-        """The search of ``<<coalition>> goal``, with the ranks and the
-        expansions found by every earlier search of it."""
-        key = (coalition, id(goal))
-        ranks = self.ranks.setdefault(key, {})
-        expansions = self.expansions.setdefault(key, {})
-        return _Search(self, coalition, goal, ranks, expansions)
 
     # Goal progress, read one position at a time (module docstring).
 
@@ -503,11 +495,12 @@ _Leaf = Callable[[frozenset[_Branch]], int]
 class _Search:
     """The and-or search of one strategic operator, from any prefix.
 
-    A node is a suffix history since the pivot; below it only its depth and
-    its branches matter, the (abstract state, progress) pairs of the outcome
-    prefixes that reach it.  The coalition fixes one choice per node, and a
-    choice leads to one child node per target state of the surviving
-    branches.
+    A node is a suffix history since the pivot; below it only the steps left
+    and its branches matter, the (abstract state, progress) pairs of the
+    outcome prefixes that reach it.  The coalition fixes one choice per node,
+    and a choice leads to one child node per target state of the surviving
+    branches.  The memos live in the evaluator, shared by every search of the
+    same operator.
     """
 
     def __init__(
@@ -515,16 +508,15 @@ class _Search:
         evaluator: Evaluator,
         coalition: frozenset[AgentId],
         goal: fm.TemporalFormula,
-        ranks: dict[tuple, int],
-        expansions: dict[tuple, dict[StateId, frozenset[_Branch]]],
     ):
         self.evaluator = evaluator
         self.goal = goal
         self.members = tuple(sorted(coalition))
         self.horizon = evaluator.horizon
         self.safe_caps = unprunable_capacities(evaluator.game, coalition)
-        self.ranks = ranks  # by (leaf rule name, depth, branches)
-        self.expansions = expansions  # by (branches, choice)
+        key = (coalition, id(goal))
+        self.ranks = evaluator.ranks.setdefault(key, {})  # (leaf, left, branches)
+        self.expansions = evaluator.expansions.setdefault(key, {})  # (branches, choice)
 
     def start(self, state: _State) -> frozenset[_Branch]:
         """The root's branches; none when no assignment is compatible, so
@@ -538,9 +530,9 @@ class _Search:
         start = self.start(state)
         if not start:
             return Verdict.FALSE
-        if self.rank(0, start, self.won) == 2:
+        if self.rank(self.horizon, start, self.won) == 2:
             return Verdict.TRUE
-        if self.rank(0, start, self.unfalsified) != 2:
+        if self.rank(self.horizon, start, self.unfalsified) != 2:
             return Verdict.FALSE
         return Verdict.UNKNOWN
 
@@ -589,13 +581,14 @@ class _Search:
                 return 0
         return rank
 
-    def rank(self, depth: int, branches: frozenset[_Branch], leaf: _Leaf) -> int:
-        """2 if some subtree below the node has every leaf ranked at least 1
-        by ``leaf`` and some leaf ranked 2, else 1 if some has every leaf
-        ranked at least 1 (or no leaf), else 0; stops at the first 2."""
-        if depth == self.horizon:
+    def rank(self, left: int, branches: frozenset[_Branch], leaf: _Leaf) -> int:
+        """2 if some subtree of ``left`` steps below the node has every leaf
+        ranked at least 1 by ``leaf`` and some leaf ranked 2, else 1 if some
+        has every leaf ranked at least 1 (or no leaf), else 0; stops at the
+        first 2."""
+        if left == 0:
             return leaf(branches)
-        key = (leaf.__name__, depth, branches)
+        key = (leaf.__name__, left, branches)
         best = self.ranks.get(key)
         if best is not None:
             return best
@@ -603,7 +596,7 @@ class _Search:
         q = next(iter(branches))[0].q
         for choice, moves in self.evaluator.game.choices(q, self.members).items():
             groups = self.expand(branches, choice, moves)
-            ranks = self.child_ranks(depth + 1, groups, leaf)
+            ranks = self.child_ranks(left - 1, groups, leaf)
             if ranks is not None:
                 if 2 in ranks.values():
                     best = 2
@@ -613,12 +606,12 @@ class _Search:
         return best
 
     def child_ranks(
-        self, depth: int, groups: dict[StateId, frozenset[_Branch]], leaf: _Leaf
+        self, left: int, groups: dict[StateId, frozenset[_Branch]], leaf: _Leaf
     ) -> dict[StateId, int] | None:
         """Each child's rank, or None as soon as one ranks 0."""
         ranks = {}
         for target in sorted(groups):
-            got = self.rank(depth, groups[target], leaf)
+            got = self.rank(left, groups[target], leaf)
             if got == 0:
                 return None
             ranks[target] = got
@@ -643,7 +636,7 @@ class _Search:
         """
         if not self.members or self.horizon == 0:
             # The single tree of an empty coalition or of depth 0 decides nothing.
-            if start and self.rank(0, start, self.won) != 2:
+            if start and self.rank(self.horizon, start, self.won) != 2:
                 return None
             return {}
         game = self.evaluator.game
@@ -654,6 +647,7 @@ class _Search:
         twos = 0
         while queue:
             history, branches, own = queue.popleft()
+            left = self.horizon - len(history)
             twos -= own == 2
             choices = game.choices(history[-1], self.members).items()
             if not branches:
@@ -662,7 +656,7 @@ class _Search:
             else:
                 for choice, moves in choices:
                     groups = self.expand(branches, choice, moves)
-                    ranks = self.child_ranks(len(history), groups, self.won)
+                    ranks = self.child_ranks(left, groups, self.won)
                     if ranks is None:
                         continue
                     gained = sum(got == 2 for got in ranks.values())
@@ -677,7 +671,7 @@ class _Search:
                     f"decisions (MAX_CERTIFICATE_DECISIONS)"
                 )
             twos += gained
-            if len(history) < self.horizon:
+            if left:
                 for target in sorted({target for _, _, target in moves}):
                     queue.append(
                         (
@@ -688,14 +682,15 @@ class _Search:
                     )
         return decisions
 
-    def first_false_outcome(self, prefix: Path, tree: StrategyTree) -> Path | None:
-        """The first outcome of ``tree`` from ``prefix``, in action order,
-        whose goal is FALSE, or None if none is; see ``_false_below``."""
-        evaluator = self.evaluator
-        state = evaluator.fold(prefix, len(prefix.states))
+    def first_false_outcome(
+        self, prefix: Path, state: _State, tree: StrategyTree
+    ) -> Path | None:
+        """The first outcome of ``tree`` from ``prefix``, of abstract state
+        ``state``, in action order, whose goal is FALSE, or None if none is;
+        see ``_false_below``."""
         if not state.alive:
             return None
-        start = evaluator.begin(self.goal, state)
+        start = self.evaluator.begin(self.goal, state)
         found = self._false_below(tree, (tree.pivot,), state, start)
         if found is None:
             return None
@@ -757,9 +752,17 @@ def eval_strategic(
     root ranks 2, where a node takes the best choice and a choice needs all
     of its children at least 1 and one of them at 2.
     """
+    search, state = _strategic(ctx, coalition, goal)
+    return search.verdict(state)
+
+
+def _strategic(
+    ctx: EvalContext, coalition: frozenset[AgentId], goal: fm.TemporalFormula
+) -> tuple[_Search, _State]:
+    """The search of ``<<coalition>> goal`` and the abstract state of the
+    context's prefix, whose last state is the pivot."""
     evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
-    search = evaluator.search(coalition, goal)
-    return search.verdict(evaluator.fold(ctx.path, ctx.index))
+    return _Search(evaluator, coalition, goal), evaluator.fold(ctx.path, ctx.index)
 
 
 # -- certificates -------------------------------------------------------------
@@ -812,14 +815,12 @@ def find_winning_strategy(
     ``_Search.first_tree``.  Given the context that decided the verdict, the
     walk reuses its ranks.  Raises ``ValueError`` if the tree fails
     ``validate_strategy_tree``."""
-    evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
-    search = evaluator.search(coalition, goal)
-    start = search.start(evaluator.fold(ctx.path, ctx.index))
-    pivot = ctx.path.states[ctx.index - 1]
-    decisions = search.first_tree(pivot, start) if start else None
+    search, state = _strategic(ctx, coalition, goal)
+    start = search.start(state)
+    decisions = search.first_tree(state.q, start) if start else None
     if decisions is None:
         return None
-    tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
+    tree = StrategyTree(frozenset(coalition), state.q, ctx.horizon, decisions)
     check_strategy_tree(ctx.game, tree)
     return tree
 
@@ -839,14 +840,12 @@ def find_falsifying_pair(
     (``_Search.first_false_outcome``).  Raises ``ValueError`` if the tree
     fails ``validate_strategy_tree``.
     """
-    evaluator = _evaluator(ctx, fm.Strat(coalition, goal))
-    search = evaluator.search(coalition, goal)
-    prefix = ctx.path.prefix(ctx.index)
-    pivot = prefix.last_state
-    decisions = search.first_tree(pivot, frozenset())
-    tree = StrategyTree(frozenset(coalition), pivot, ctx.horizon, decisions)
+    search, state = _strategic(ctx, coalition, goal)
+    decisions = search.first_tree(state.q, frozenset())
+    tree = StrategyTree(frozenset(coalition), state.q, ctx.horizon, decisions)
     check_strategy_tree(ctx.game, tree)
-    return tree, search.first_false_outcome(prefix, tree)
+    prefix = ctx.path.prefix(ctx.index)
+    return tree, search.first_false_outcome(prefix, state, tree)
 
 
 # -- state checking -----------------------------------------------------------

@@ -293,6 +293,12 @@ def _read_node(
     for key, value in (("actions", actions), ("children", children)):
         if not isinstance(value, dict):
             raise InputError(f"{key} of strategy node at {where} is not an object")
+    for name in actions:
+        if _lookup(game.agent_names, name, "agent") not in members:
+            raise InputError(
+                f"malformed strategy decision at {where}: "
+                f"{name!r} is not in the coalition"
+            )
     if members:
         decision = []
         for a in members:
@@ -320,6 +326,9 @@ def _tree_from_json(game: GameStructure, data) -> StrategyTree:
             f"malformed strategy file: coalition must be a list, not {names!r}"
         )
     coalition = frozenset(_lookup(game.agent_names, name, "agent") for name in names)
+    if len(coalition) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise InputError(f"malformed strategy file: coalition lists {twice!r} twice")
     pivot = _lookup(game.state_names, data["pivot"], "state")
     depth = data["depth"]
     try:

@@ -247,7 +247,6 @@ def bind_with_report(
         labels[state] = _distinct(props, line, "proposition")
 
     protocol: dict[tuple[str, str], list[str]] = {}
-    proto_lines: dict[tuple[str, str], int] = {}
     for agent, state, acts, line in doc.protocol:
         if agent not in agents:
             _fail(line, f"unknown agent {agent!r}")
@@ -259,10 +258,8 @@ def bind_with_report(
             if act not in known_acts:
                 _fail(line, f"unknown action {act!r}")
         protocol[(agent, state)] = _distinct(acts, line, "action")
-        proto_lines[(agent, state)] = line
 
     transitions: dict[tuple[str, tuple[str, ...]], str] = {}
-    trans_lines: dict[tuple[str, tuple[str, ...]], int] = {}
     for source, joint, target, line in doc.transitions:
         for state in (source, target):
             if state not in states:
@@ -275,7 +272,6 @@ def bind_with_report(
         if (source, joint) in transitions:
             _fail(line, "duplicate transition")
         transitions[(source, joint)] = target
-        trans_lines[(source, joint)] = line
 
     init = None
     if doc.init is not None:
@@ -295,28 +291,26 @@ def bind_with_report(
         init=init,
     )
 
+    # A reported row is found by its key, unique since duplicate rows are
+    # rejected above; without a row, the report points at the section.
     diagnostics = []
     for violation in validate_structure(game):
         line = doc.section_lines["protocol"]
-        if violation.kind in (
-            PROTOCOL_OUTSIDE_CAPACITIES,
-            CAPACITY_MISSING_ACTION,
-        ):
+        if violation.kind in (PROTOCOL_OUTSIDE_CAPACITIES, CAPACITY_MISSING_ACTION):
             key = (
                 game.agent_names[violation.agent],
                 game.state_names[violation.state],
             )
-            line = proto_lines.get(key, doc.section_lines["protocol"])
+            line = next((row[-1] for row in doc.protocol if row[:2] == key), line)
         elif violation.kind == MISSING_TRANSITION:
             line = doc.section_lines["transitions"]
         elif violation.kind == SPURIOUS_TRANSITION:
-            line = trans_lines.get(
-                (
-                    game.state_names[violation.state],
-                    tuple(game.action_names[x] for x in violation.joint),
-                ),
-                doc.section_lines["transitions"],
+            line = doc.section_lines["transitions"]
+            key = (
+                game.state_names[violation.state],
+                tuple(game.action_names[x] for x in violation.joint),
             )
+            line = next((row[-1] for row in doc.transitions if row[:2] == key), line)
         elif violation.kind == EMPTY_CAPACITIES:
             line = doc.section_lines["capacities"]
         diagnostics.append(Diagnostic(line, violation.message))

@@ -108,6 +108,21 @@ GAME_CASES = [
     # the capacities section's line, a missing transition at its section's.
     ("agent-without-capacities", {5: "  a:", 7: None, 14: "  a @ s:", 16: None}, 4, "agent a has no capacity"),
     ("missing-transition", {16: None}, 15, "no transition for available joint action (x) at s"),
+    # The other validation reports point at their own row, here not the
+    # section's first.
+    (
+        "protocol-outside-capacities",
+        {3: "  a, b", 5: "  a: c\n  b: d", 7: "  c: x\n  d: y", 14: "  a @ s: x\n  b @ s: x, y", 16: "  s (x, x) -> s\n  s (x, y) -> s"},
+        17,
+        "protocol action x of agent b at s is outside all of the agent's capacities",
+    ),
+    (
+        "capacity-without-action",
+        {3: "  a, b", 5: "  a: c\n  b: d, e", 7: "  c: x\n  d: y\n  e: z", 14: "  a @ s: x\n  b @ s: y", 16: "  s (x, y) -> s"},
+        18,
+        "agent b with capacity e has no action at s",
+    ),
+    ("spurious-transition", {7: "  c: x, y", 16: "  s (x) -> s\n  s (y) -> s"}, 17, "transition at s under (y) uses an unavailable joint action"),
 ]
 
 
@@ -151,6 +166,10 @@ def test_path_literal_diagnostic(capsys, literal, message):
             "malformed strategy file: coalition must be a list, not 5",
         ),
         ({"coalition": ["nobody"], "pivot": "s0", "depth": 1}, "unknown agent 'nobody'"),
+        (
+            {"coalition": ["opp", "opp"], "pivot": "s0", "depth": 1, "root": {"actions": {"opp": "serve"}}},
+            "malformed strategy file: coalition lists 'opp' twice",
+        ),
         ({"coalition": ["opp"], "pivot": "s9", "depth": 1}, "unknown state 's9'"),
         (
             {"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": []},
@@ -171,6 +190,24 @@ def test_path_literal_diagnostic(capsys, literal, message):
         (
             {"coalition": ["opp"], "pivot": "s0", "depth": 1, "root": {"actions": {"opp": "smash"}}},
             "unknown action 'smash'",
+        ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 1,
+                "root": {"actions": {"opp": "serve", "obs": "watch", "nobody": "x"}},
+            },
+            "malformed strategy decision at s0: 'obs' is not in the coalition",
+        ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 1,
+                "root": {"actions": {"opp": "serve", "nobody": "x"}},
+            },
+            "unknown agent 'nobody'",
         ),
         (
             {
@@ -216,12 +253,15 @@ def test_path_literal_diagnostic(capsys, literal, message):
         "no-depth",
         "coalition-not-a-list",
         "coalition-unknown-agent",
+        "coalition-twice",
         "unknown-pivot",
         "node",
         "node-actions",
         "node-children",
         "node-decision",
         "node-unknown-action",
+        "node-agent-outside-coalition",
+        "node-unknown-agent",
         "node-child-state",
         "tree-incomplete",
         "tree-pivot",

@@ -244,6 +244,23 @@ def test_each_node_is_expanded_once_per_check(g_mix, text, k, monkeypatch):
         assert all(again is got[0] for again in got)
 
 
+@pytest.mark.parametrize(
+    "text", [row for row in DEEP_ROWS if row.startswith("<<") and "K[" in row]
+)
+def test_belief_sets_leave_out_members_with_an_empty_set(g_mix, text):
+    # Such a member holds every knowledge vacuously; kept, it would make
+    # states that differ only by it distinct, and split the memos.
+    f = parse_formula(text, g_mix)
+    evaluator = Evaluator(g_mix, 4, f)
+    ctx = EvalContext(
+        g_mix, all_paths(g_mix, 0, 0)[0], 1, canonical_assignment(g_mix), 4, evaluator
+    )
+    eval_path_formula(ctx, f)
+    members = [m for s in evaluator.interned.values() for b in s.beliefs for m in b]
+    assert members  # the check did reach belief sets
+    assert all(all(member) for member in members)
+
+
 @pytest.mark.parametrize("other", ["game", "horizon"])
 def test_context_rejects_an_evaluator_for_another_game_or_horizon(
     g_hand, g_mix, other
