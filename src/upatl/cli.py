@@ -288,6 +288,9 @@ def _read_node(
     where = " ".join(game.state_names[q] for q in history)
     if not isinstance(node, dict):
         raise InputError(f"strategy node at {where} is not an object")
+    unknown = [key for key in node if key not in ("actions", "children")]
+    if unknown:
+        raise InputError(f"strategy node at {where} has unknown key {unknown[0]!r}")
     actions = node.get("actions", {})
     children = node.get("children", {})
     for key, value in (("actions", actions), ("children", children)):
@@ -320,6 +323,11 @@ def _tree_from_json(game: GameStructure, data) -> StrategyTree:
     for key in ("coalition", "pivot", "depth"):
         if key not in data:
             raise InputError(f"malformed strategy file: missing {key!r}")
+    unknown = [
+        key for key in data if key not in ("coalition", "pivot", "depth", "root")
+    ]
+    if unknown:
+        raise InputError(f"malformed strategy file: unknown key {unknown[0]!r}")
     names = data["coalition"]
     if not isinstance(names, list):
         raise InputError(

@@ -304,7 +304,10 @@ class _Parser:
             return frozenset()
         while True:
             token = self.expect("ident")
-            members.add(self.lookup(self.game.agent_names, token, "agent"))
+            agent = self.lookup(self.game.agent_names, token, "agent")
+            if agent in members:
+                raise FormulaError(f"coalition lists {token.text!r} twice", token.pos)
+            members.add(agent)
             if self.peek().kind != ",":
                 return frozenset(members)
             self.advance()

@@ -42,9 +42,9 @@ from .model import (
     PROTOCOL_OUTSIDE_CAPACITIES,
     RESERVED_PROPS,
     SPURIOUS_TRANSITION,
-    TRUE_PROP,
     GameStructure,
     build_game,
+    game_names,
     validate_structure,
 )
 
@@ -330,96 +330,37 @@ def load_game(text: str) -> GameStructure:
 
 
 def render_game(game: GameStructure) -> str:
-    """Canonical text for a valid structure; reloads to an isomorphic game."""
+    """Canonical text for a valid structure: ``game_names`` written out, so
+    the text reloads to the same game, ids included, not only an isomorphic
+    one."""
+    names = game_names(game)
+    init, join = names.pop("init"), ", ".join
+    sections = {
+        "agents": [join(names["agents"])],
+        "capacities": [f"{a}: {join(cs)}" for a, cs in names["capacities"].items()],
+        "actions": [f"{c}: {join(xs)}" for c, xs in names["actions"].items()],
+        "states": [join(names["states"])],
+        "labels": [f"{q}: {join(ps)}" for q, ps in names["labels"].items() if ps],
+        "protocol": [
+            f"{a} @ {q}: {join(xs)}" for (a, q), xs in names["protocol"].items()
+        ],
+        "transitions": [
+            f"{q} ({join(joint)}) -> {target}"
+            for (q, joint), target in names["transitions"].items()
+        ],
+    }
     lines = [f"game {game.name}", ""]
-    lines.append("agents:")
-    lines.append("  " + ", ".join(game.agent_names))
-    lines.append("")
-    lines.append("capacities:")
-    for a in game.agents:
-        caps = ", ".join(
-            game.capacity_names[c] for c in sorted(game.agent_capacities[a])
-        )
-        lines.append(f"  {game.agent_names[a]}: {caps}")
-    lines.append("")
-    lines.append("actions:")
-    for c, name in enumerate(game.capacity_names):
-        acts = ", ".join(
-            game.action_names[x] for x in sorted(game.capacity_actions[c])
-        )
-        lines.append(f"  {name}: {acts}")
-    lines.append("")
-    lines.append("states:")
-    lines.append("  " + ", ".join(game.state_names))
-    lines.append("")
-    if game.init_state is not None:
-        lines.append(f"init: {game.state_names[game.init_state]}")
-        lines.append("")
-    true_id = game.true_prop
-    lines.append("labels:")
-    for q in game.states:
-        props = sorted(game.labels[q] - {true_id})
-        if props:
-            names = ", ".join(game.prop_names[p] for p in props)
-            lines.append(f"  {game.state_names[q]}: {names}")
-    lines.append("")
-    lines.append("protocol:")
-    for a in game.agents:
-        for q in game.states:
-            acts = ", ".join(
-                game.action_names[x] for x in sorted(game.protocols[a][q])
-            )
-            lines.append(f"  {game.agent_names[a]} @ {game.state_names[q]}: {acts}")
-    lines.append("")
-    lines.append("transitions:")
-    for (q, joint), target in sorted(game.transitions.items()):
-        acts = ", ".join(game.action_names[x] for x in joint)
-        lines.append(
-            f"  {game.state_names[q]} ({acts}) -> {game.state_names[target]}"
-        )
-    lines.append("")
+    for section, rows in sections.items():
+        lines += [f"{section}:", *("  " + row for row in rows), ""]
+        if section == "states" and init is not None:
+            lines += [f"init: {init}", ""]
     return "\n".join(lines)
 
 
-def canonical_form(game: GameStructure):
-    """Name-keyed shape of a structure, for isomorphism comparisons."""
-    return {
-        "agents": list(game.agent_names),
-        "capacities": {
-            game.agent_names[a]: sorted(
-                game.capacity_names[c] for c in game.agent_capacities[a]
-            )
-            for a in game.agents
-        },
-        "actions": {
-            name: sorted(
-                game.action_names[x] for x in game.capacity_actions[c]
-            )
-            for c, name in enumerate(game.capacity_names)
-        },
-        "states": list(game.state_names),
-        "init": None
-        if game.init_state is None
-        else game.state_names[game.init_state],
-        "labels": {
-            game.state_names[q]: sorted(
-                game.prop_names[p] for p in game.labels[q]
-                if game.prop_names[p] != TRUE_PROP
-            )
-            for q in game.states
-        },
-        "protocol": {
-            (game.agent_names[a], game.state_names[q]): sorted(
-                game.action_names[x] for x in game.protocols[a][q]
-            )
-            for a in game.agents
-            for q in game.states
-        },
-        "transitions": {
-            (
-                game.state_names[q],
-                tuple(game.action_names[x] for x in joint),
-            ): game.state_names[target]
-            for (q, joint), target in game.transitions.items()
-        },
-    }
+def canonical_form(game: GameStructure) -> dict:
+    """Name-keyed shape of a structure, for isomorphism comparisons:
+    ``game_names`` with each row sorted by name."""
+    names = game_names(game)
+    for section in ("capacities", "actions", "labels", "protocol"):
+        names[section] = {key: sorted(row) for key, row in names[section].items()}
+    return names

@@ -308,7 +308,8 @@ def build_game(
 
     The one constructor from names: the random generator and the game-file
     binder (which checks every name, with its source line, first) both call
-    it.  Ids follow declaration order, the order ``render_game`` writes:
+    it, and ``game_names`` is its inverse.  Ids follow declaration order,
+    the order ``render_game`` writes:
     capacities by first appearance walking ``agents`` and each one's
     capacities, actions walking those capacities and each one's actions,
     props walking ``states`` and each one's labels; the reserved always-true
@@ -361,3 +362,35 @@ def build_game(
         transitions=trans,
         init_state=None if init is None else state_index[init],
     )
+
+
+def game_names(game: GameStructure) -> dict:
+    """``build_game``'s inverse, its keyword arguments but ``name``: every
+    list in id order, which is declaration order, labels without the
+    reserved atom, a protocol row for every (agent, state) pair, and
+    transitions sorted by ids."""
+    agents, caps, states = game.agent_names, game.capacity_names, game.state_names
+    acts, props, true_id = game.action_names, game.prop_names, game.true_prop
+
+    def named(table: tuple[str, ...], ids) -> list[str]:
+        return [table[i] for i in sorted(ids)]
+
+    return {
+        "agents": list(agents),
+        "capacities": {
+            a: named(caps, cs) for a, cs in zip(agents, game.agent_capacities)
+        },
+        "actions": {c: named(acts, xs) for c, xs in zip(caps, game.capacity_actions)},
+        "states": list(states),
+        "labels": {q: named(props, p - {true_id}) for q, p in zip(states, game.labels)},
+        "protocol": {
+            (a, q): named(acts, xs)
+            for a, row in zip(agents, game.protocols)
+            for q, xs in zip(states, row)
+        },
+        "transitions": {
+            (states[q], tuple(acts[x] for x in joint)): states[target]
+            for (q, joint), target in sorted(game.transitions.items())
+        },
+        "init": None if game.init_state is None else states[game.init_state],
+    }

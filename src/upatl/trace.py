@@ -151,8 +151,8 @@ class StrategyTree:
     ``decisions`` maps suffix histories (state sequences starting at the
     pivot, of length 1..depth) to one action per coalition agent, ordered by
     agent index.  The map must cover every history reachable under the tree's
-    own prescriptions, and each prescribed action must be in the acting
-    agent's protocol at the history's last state.
+    own prescriptions and no other, and each prescribed action must be in the
+    acting agent's protocol at the history's last state.
     """
 
     coalition: frozenset[AgentId]
@@ -172,13 +172,16 @@ class StrategyTree:
 
 
 def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]:
-    """Check protocol conformance and totality on reachable suffix histories."""
+    """Check protocol conformance and totality on reachable suffix histories,
+    then that no decision sits at a history play under the tree never
+    reaches (past the depth, or off its prescribed moves)."""
     problems: list[str] = []
     agents = tree.agents
     if any(not 0 <= a < game.agent_count for a in agents):
         return ["coalition contains an unknown agent"]
     if not agents:
         return []  # the empty coalition prescribes nothing
+    decided = 0  # reached histories with a decision
     frontier: list[History] = [(tree.pivot,)]
     while frontier:
         history = frontier.pop()
@@ -192,6 +195,7 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
                 f"{' '.join(game.state_names[s] for s in history)}"
             )
             continue
+        decided += 1
         if len(prescribed) != len(agents):
             problems.append("decision arity does not match the coalition")
             continue
@@ -208,7 +212,29 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
             moves = game.choices(q, agents).get(prescribed, ())
             targets = dict.fromkeys(target for _, _, target in reversed(moves))
             frontier += [history + (target,) for target in reversed(targets)]
+    if decided < len(tree.decisions):
+        problems += [
+            f"decision for unreached history "
+            f"{' '.join(game.state_names[s] for s in history)}"
+            for history in sorted(tree.decisions, key=lambda h: (len(h), h))
+            if not _reached(game, tree, history)
+        ]
     return problems
+
+
+def _reached(game: GameStructure, tree: StrategyTree, history: History) -> bool:
+    """True iff play under ``tree`` reaches ``history`` within its depth: each
+    step from the pivot follows the moves its prefix's decision allows."""
+    if not 0 < len(history) <= tree.depth or history[0] != tree.pivot:
+        return False
+    for i in range(1, len(history)):
+        prescribed = tree.decisions.get(history[:i])
+        if prescribed is None or len(prescribed) != len(tree.agents):
+            return False
+        moves = game.choices(history[i - 1], tree.agents).get(prescribed, ())
+        if all(target != history[i] for _, _, target in moves):
+            return False
+    return True
 
 
 def check_strategy_tree(game: GameStructure, tree: StrategyTree) -> None:
@@ -230,11 +256,11 @@ def outcomes_bounded(
     are pruned as soon as theirs empties, which is equivalent because the set
     is antitone along prefixes).
     """
-    check_strategy_tree(game, tree)
     if tree.pivot != path.last_state:
         raise ValueError("strategy pivot must equal the path's last state")
     if tree.depth < steps:
         raise ValueError("strategy tree is too shallow for the requested bound")
+    check_strategy_tree(game, tree)
     agents = tree.agents
 
     start_caps = tuple(

@@ -245,6 +245,58 @@ def test_path_literal_diagnostic(capsys, literal, message):
             },
             "strategy tree is too shallow for the requested bound",
         ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 1,
+                "root": {
+                    "actions": {"opp": "serve"},
+                    "children": {
+                        "s0": {
+                            "actions": {"opp": "serve"},
+                            "children": {"s0": {"actions": {"opp": "serve"}}},
+                        }
+                    },
+                },
+            },
+            "invalid strategy tree: decision for unreached history s0 s0; "
+            "decision for unreached history s0 s0 s0",
+        ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 2,
+                "root": {
+                    "actions": {"opp": "serve"},
+                    "children": {
+                        "s0": {"actions": {"opp": "serve"}},
+                        "s1": {"actions": {"opp": "swingL"}},
+                    },
+                },
+            },
+            "invalid strategy tree: decision for unreached history s0 s1",
+        ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 1,
+                "root": {"actions": {"opp": "serve"}},
+                "extra": 1,
+            },
+            "malformed strategy file: unknown key 'extra'",
+        ),
+        (
+            {
+                "coalition": ["opp"],
+                "pivot": "s0",
+                "depth": 1,
+                "root": {"actions": {"opp": "serve"}, "kids": {}},
+            },
+            "strategy node at s0 has unknown key 'kids'",
+        ),
     ],
     ids=[
         "not-an-object",
@@ -266,6 +318,10 @@ def test_path_literal_diagnostic(capsys, literal, message):
         "tree-incomplete",
         "tree-pivot",
         "tree-shallow",
+        "tree-past-depth",
+        "tree-unreached",
+        "file-unknown-key",
+        "node-unknown-key",
     ],
 )
 def test_strategy_file_diagnostic(capsys, tmp_path, strategy, message):
@@ -305,6 +361,11 @@ def test_formula_unexpected_character(capsys):
 def test_formula_expected_token(capsys, formula, message):
     got = run(capsys, "check", HAND, "-f", formula, "-k", "1")
     assert got == (65, "", f"error: {message}\n")
+
+
+def test_formula_coalition_lists_an_agent_twice(capsys):
+    got = run(capsys, "check", HAND, "-f", "<<opp, opp>> N leftHit", "-k", "1")
+    assert got == (65, "", "error: coalition lists 'opp' twice (at offset 7)\n")
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,19 @@ import re
 import pytest
 
 from upatl import model
+from upatl.gamespec import load_game, render_game
 from upatl.model import (
     CAPACITY_MISSING_ACTION,
     MISSING_TRANSITION,
     PROTOCOL_OUTSIDE_CAPACITIES,
     SPURIOUS_TRANSITION,
+    build_game,
+    game_names,
     validate_structure,
 )
 from upatl.oracle import GeneratorParams, generate_random_game
+
+from helpers import GAMES_DIR
 
 
 def names(game, ids):
@@ -299,3 +304,64 @@ class TestConstruction:
                 protocol={("a", "q"): ["x"]},
                 transitions={("q", ("x",)): "q"},
             )
+
+
+# Every ``GeneratorParams`` shape: states, agents, capacities per agent and
+# actions per capacity, each over its whole range.
+SHAPES = list(itertools.product(range(1, 6), range(1, 4), range(1, 3), range(1, 3)))
+GAME_FILES = sorted(GAMES_DIR.glob("*.game")) + sorted(
+    (GAMES_DIR.parent / "bench" / "games").glob("*.game")
+)
+
+
+def compared(game):
+    """The fields ``GameStructure`` compares, ids included."""
+    return {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.compare}
+
+
+def generated(index, shape):
+    states, agents, caps, acts = shape
+    return generate_random_game(
+        GeneratorParams(
+            seed=index,
+            states=states,
+            agents=agents,
+            capacities_per_agent=caps,
+            actions_per_capacity=acts,
+            label_density=index % 5 / 4,
+        )
+    )
+
+
+class TestGameNames:
+    """``game_names`` inverts ``build_game``, and ``render_game`` writes it."""
+
+    def games(self):
+        for path in GAME_FILES:
+            yield load_game(path.read_text(encoding="utf-8"))
+        for index, shape in enumerate(SHAPES):
+            yield generated(index, shape)
+
+    def test_build_game_inverts_game_names(self):
+        for game in self.games():
+            again = build_game(name=game.name, **game_names(game))
+            assert compared(again) == compared(game)
+
+    def test_rendered_text_reloads_to_the_same_game(self):
+        for game in self.games():
+            assert compared(load_game(render_game(game))) == compared(game)
+
+    def test_names_are_in_id_order(self, g_mix):
+        names = game_names(g_mix)
+        assert names["states"] == list(g_mix.state_names)
+        assert list(names["protocol"]) == [
+            (a, q) for a in g_mix.agent_names for q in g_mix.state_names
+        ]
+        assert "true" not in {p for props in names["labels"].values() for p in props}
+        assert list(names["transitions"]) == sorted(
+            names["transitions"],
+            key=lambda key: (
+                g_mix.state_names.index(key[0]),
+                tuple(g_mix.action_names.index(x) for x in key[1]),
+            ),
+        )
