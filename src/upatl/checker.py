@@ -425,15 +425,14 @@ def _evaluator(ctx: EvalContext, formula) -> Evaluator:
 
 def eval_path_formula(ctx: EvalContext, f: fm.PathFormula) -> Verdict:
     """The verdict of ``f`` at ``ctx``; a top-level ``K`` is answered by
-    ``eval_knowledge`` and a top-level ``<<...>>`` by ``eval_strategic``."""
-    # The evaluator alone would give the same verdicts; the two routes stay
-    # because the benchmark's spans time those entry points (bench/).
+    ``eval_knowledge``."""
+    # The evaluator alone would give the same verdict; this route stays
+    # because the benchmark's tests count calls of ``eval_knowledge``
+    # (bench/test_bench.py).
     if isinstance(f, fm.Know):
         return lift(
             eval_knowledge(ctx.game, ctx.path, ctx.index, f.agent, f.body)
         )
-    if isinstance(f, fm.Strat):
-        return eval_strategic(ctx, f.coalition, f.goal)
     evaluator = _evaluator(ctx, f)
     return evaluator.value(f, evaluator.fold(ctx.path, ctx.index))
 

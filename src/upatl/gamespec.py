@@ -24,22 +24,21 @@ Line-oriented and diff-friendly:
 
 Comments start with ``#``.  Every section must appear exactly once except
 ``init``, which is optional metadata (the default state for state checking).
-``bind_game`` checks names, builds the dense structure with
-``model.build_game`` and then validates it; binding succeeds only on a clean
-report, and every diagnostic carries the line it points at.
+``load_game`` parses, then ``bind_with_report`` checks names, builds the
+dense structure with ``model.build_game`` and validates it; loading succeeds
+only on a clean report, and every diagnostic carries the line it points at.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .model import (
-    CAPACITY_MISSING_ACTION,
     EMPTY_CAPACITIES,
     IDENT,
     MISSING_TRANSITION,
-    PROTOCOL_OUTSIDE_CAPACITIES,
     RESERVED_PROPS,
     SPURIOUS_TRANSITION,
     GameStructure,
@@ -201,6 +200,30 @@ def _distinct(names: list[str], line: int, what: str) -> list[str]:
     return names
 
 
+def _keyed(
+    doc: GameDocument,
+    section: str,
+    keys: Container[str],
+    key_kind: str,
+    item: str,
+    reserved: tuple[str, ...] = (),
+) -> dict[str, list[str]]:
+    """The rows of a ``<key>: names`` section by key: each key is one of
+    ``keys`` and has one row, and a row's names are distinct and none is
+    ``reserved``."""
+    rows: dict[str, list[str]] = {}
+    for key, names, line in getattr(doc, section):
+        if key not in keys:
+            _fail(line, f"unknown {key_kind} {key!r}")
+        if key in rows:
+            _fail(line, f"duplicate {section} for {key_kind} {key!r}")
+        for name in names:
+            if name in reserved:
+                _fail(line, f"{item} name {name!r} is reserved")
+        rows[key] = _distinct(names, line, item)
+    return rows
+
+
 def bind_with_report(
     doc: GameDocument,
 ) -> tuple[GameStructure, list[Diagnostic]]:
@@ -217,34 +240,11 @@ def bind_with_report(
     if not states:
         _fail(doc.section_lines["states"], "at least one state is required")
 
-    capacities: dict[str, list[str]] = {}
-    for agent, caps, line in doc.capacities:
-        if agent not in agents:
-            _fail(line, f"unknown agent {agent!r}")
-        if agent in capacities:
-            _fail(line, f"duplicate capacities for agent {agent!r}")
-        capacities[agent] = _distinct(caps, line, "capacity")
+    capacities = _keyed(doc, "capacities", agents, "agent", "capacity")
     known_caps = {cap for caps in capacities.values() for cap in caps}
-
-    actions: dict[str, list[str]] = {}
-    for cap, acts, line in doc.actions:
-        if cap not in known_caps:
-            _fail(line, f"unknown capacity {cap!r}")
-        if cap in actions:
-            _fail(line, f"duplicate actions for capacity {cap!r}")
-        actions[cap] = _distinct(acts, line, "action")
+    actions = _keyed(doc, "actions", known_caps, "capacity", "action")
     known_acts = {act for acts in actions.values() for act in acts}
-
-    labels: dict[str, list[str]] = {}
-    for state, props, line in doc.labels:
-        if state not in states:
-            _fail(line, f"unknown state {state!r}")
-        if state in labels:
-            _fail(line, f"duplicate labels for state {state!r}")
-        for prop in props:
-            if prop in RESERVED_PROPS:
-                _fail(line, f"proposition name {prop!r} is reserved")
-        labels[state] = _distinct(props, line, "proposition")
+    labels = _keyed(doc, "labels", states, "state", "proposition", RESERVED_PROPS)
 
     protocol: dict[tuple[str, str], list[str]] = {}
     for agent, state, acts, line in doc.protocol:
@@ -295,38 +295,34 @@ def bind_with_report(
     # rejected above; without a row, the report points at the section.
     diagnostics = []
     for violation in validate_structure(game):
-        line = doc.section_lines["protocol"]
-        if violation.kind in (PROTOCOL_OUTSIDE_CAPACITIES, CAPACITY_MISSING_ACTION):
-            key = (
-                game.agent_names[violation.agent],
-                game.state_names[violation.state],
-            )
-            line = next((row[-1] for row in doc.protocol if row[:2] == key), line)
+        if violation.kind == EMPTY_CAPACITIES:
+            section, key = "capacities", None
         elif violation.kind == MISSING_TRANSITION:
-            line = doc.section_lines["transitions"]
+            section, key = "transitions", None
         elif violation.kind == SPURIOUS_TRANSITION:
-            line = doc.section_lines["transitions"]
-            key = (
+            section, key = "transitions", (
                 game.state_names[violation.state],
                 tuple(game.action_names[x] for x in violation.joint),
             )
-            line = next((row[-1] for row in doc.transitions if row[:2] == key), line)
-        elif violation.kind == EMPTY_CAPACITIES:
-            line = doc.section_lines["capacities"]
+        else:  # a protocol row leaves a capacity without moves or exceeds them
+            section, key = "protocol", (
+                game.agent_names[violation.agent],
+                game.state_names[violation.state],
+            )
+        line = next(
+            (row[-1] for row in getattr(doc, section) if row[:2] == key),
+            doc.section_lines[section],
+        )
         diagnostics.append(Diagnostic(line, violation.message))
     return game, diagnostics
 
 
-def bind_game(doc: GameDocument) -> GameStructure:
-    """Resolve, build, and validate; succeeds only on an empty report."""
-    game, diagnostics = bind_with_report(doc)
+def load_game(text: str) -> GameStructure:
+    """Parse, bind and validate; succeeds only on an empty report."""
+    game, diagnostics = bind_with_report(parse_game(text))
     if diagnostics:
         raise GameSpecError(diagnostics)
     return game
-
-
-def load_game(text: str) -> GameStructure:
-    return bind_game(parse_game(text))
 
 
 def render_game(game: GameStructure) -> str:

@@ -314,10 +314,31 @@ def build_game(
     capacities, actions walking those capacities and each one's actions,
     props walking ``states`` and each one's labels; the reserved always-true
     atom is appended and applied to every state.
+
+    Raises ``ValueError`` on a name declared twice in ``agents`` or
+    ``states``, or a row keyed by a name not declared.
     """
+    agent_set = set(agents)
     cap_names = list(dict.fromkeys(c for a in agents for c in capacities.get(a, [])))
     cap_index = {n: i for i, n in enumerate(cap_names)}
     state_index = {n: i for i, n in enumerate(states)}
+    for what, names, distinct in (
+        ("agent", agents, agent_set),
+        ("state", states, state_index),
+    ):
+        if len(distinct) < len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"duplicate {what} {repeated!r}")
+    pairs = set(itertools.product(agents, states))
+    for section, what, keys, declared in (
+        ("capacities", "agent", capacities.keys(), agent_set),
+        ("actions", "capacity", actions.keys(), cap_index.keys()),
+        ("labels", "state", labels.keys(), state_index.keys()),
+        ("protocol", "(agent, state)", protocol.keys(), pairs),
+    ):
+        if not keys <= declared:
+            key = next(key for key in keys if key not in declared)
+            raise ValueError(f"{section} for undeclared {what} {key!r}")
     act_names = list(dict.fromkeys(x for c in cap_names for x in actions.get(c, [])))
     act_index = {n: i for i, n in enumerate(act_names)}
     prop_names = list(dict.fromkeys(p for q in states for p in labels.get(q, [])))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import (
     ActionId,
@@ -172,23 +173,18 @@ class StrategyTree:
 
 
 def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]:
-    """Check protocol conformance and totality on reachable suffix histories,
-    then that no decision sits at a history play under the tree never
-    reaches (past the depth, or off its prescribed moves)."""
-    problems: list[str] = []
+    """Check that every id is the game's, then protocol conformance and
+    totality on reachable suffix histories, then that no decision sits at a
+    history play under the tree never reaches (past the depth, or off its
+    prescribed moves)."""
     agents = tree.agents
     if any(not 0 <= a < game.agent_count for a in agents):
         return ["coalition contains an unknown agent"]
-    if not agents:
-        return []  # the empty coalition prescribes nothing
+    problems = _unknown_ids(game, tree)
+    if problems or not agents:  # the empty coalition prescribes nothing
+        return problems
     decided = 0  # reached histories with a decision
-    frontier: list[History] = [(tree.pivot,)]
-    while frontier:
-        history = frontier.pop()
-        if len(history) > tree.depth:
-            continue
-        q = history[-1]
-        prescribed = tree.prescription(history)
+    for history, prescribed in _walk(game, tree):
         if prescribed is None:
             problems.append(
                 f"no decision for reachable history "
@@ -199,6 +195,7 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
         if len(prescribed) != len(agents):
             problems.append("decision arity does not match the coalition")
             continue
+        q = history[-1]
         for agent, x in zip(agents, prescribed):
             if x not in game.protocols[agent][q]:
                 problems.append(
@@ -206,35 +203,55 @@ def validate_strategy_tree(game: GameStructure, tree: StrategyTree) -> list[str]
                     f"{game.action_names[x]} outside its protocol at "
                     f"{game.state_names[q]}"
                 )
-        if len(history) < tree.depth:
-            # A history is reached only from its prefix, so each distinct
-            # target is pushed once, at the position of its last move.
-            moves = game.choices(q, agents).get(prescribed, ())
-            targets = dict.fromkeys(target for _, _, target in reversed(moves))
-            frontier += [history + (target,) for target in reversed(targets)]
     if decided < len(tree.decisions):
+        reached = {history for history, _ in _walk(game, tree)}
         problems += [
             f"decision for unreached history "
             f"{' '.join(game.state_names[s] for s in history)}"
             for history in sorted(tree.decisions, key=lambda h: (len(h), h))
-            if not _reached(game, tree, history)
+            if history not in reached
         ]
     return problems
 
 
-def _reached(game: GameStructure, tree: StrategyTree, history: History) -> bool:
-    """True iff play under ``tree`` reaches ``history`` within its depth: each
-    step from the pivot follows the moves its prefix's decision allows."""
-    if not 0 < len(history) <= tree.depth or history[0] != tree.pivot:
-        return False
-    for i in range(1, len(history)):
-        prescribed = tree.decisions.get(history[:i])
-        if prescribed is None or len(prescribed) != len(tree.agents):
-            return False
-        moves = game.choices(history[i - 1], tree.agents).get(prescribed, ())
-        if all(target != history[i] for _, _, target in moves):
-            return False
-    return True
+def _unknown_ids(game: GameStructure, tree: StrategyTree) -> list[str]:
+    """A message for the pivot and for each decision whose history or
+    actions hold ids outside the game's ranges."""
+    states = range(len(game.state_names))
+    problems = [] if tree.pivot in states else [f"pivot {tree.pivot} is an unknown state"]
+    chain = itertools.chain.from_iterable
+    bad_states = set(chain(tree.decisions)).difference(states)
+    bad_actions = set(chain(tree.decisions.values())).difference(
+        range(len(game.action_names))
+    )
+    if bad_states or bad_actions:
+        for history, prescribed in tree.decisions.items():
+            if not bad_states.isdisjoint(history):
+                problems.append(f"decision at history {history} has an unknown state")
+            if not bad_actions.isdisjoint(prescribed):
+                problems.append(f"decision at history {history} has an unknown action")
+    return problems
+
+
+def _walk(game: GameStructure, tree: StrategyTree) -> Iterator[tuple]:
+    """Depth-first, each history play under ``tree`` reaches within its
+    depth, with its decision (None if it has none): a history is extended by
+    the moves its decision allows, if the decision has the coalition's
+    arity."""
+    agents = tree.agents
+    frontier: list[History] = [(tree.pivot,)] if tree.depth > 0 else []
+    while frontier:
+        history = frontier.pop()
+        prescribed = tree.decisions.get(history)
+        yield history, prescribed
+        if prescribed is None or len(prescribed) != len(agents):
+            continue
+        if len(history) < tree.depth:
+            # A history is reached only from its prefix, so each distinct
+            # target is pushed once, at the position of its last move.
+            moves = game.choices(history[-1], agents).get(prescribed, ())
+            targets = dict.fromkeys(target for _, _, target in reversed(moves))
+            frontier += [history + (target,) for target in reversed(targets)]
 
 
 def check_strategy_tree(game: GameStructure, tree: StrategyTree) -> None:

@@ -126,9 +126,22 @@ GAME_CASES = [
 ]
 
 
+# Two faults in one file: the one reported is the first in the loader's
+# order: parsing before binding, then sections in declaration order, and the
+# first faulty row within a section.
+TWO_FAULT_CASES = [
+    ("unknown-agent-and-duplicate-transition", {5: "  b: c", 16: "  s (x) -> s\n  s (x) -> s"}, 5, "unknown agent 'b'"),
+    ("reserved-label-and-duplicate-labels-row", {12: "  s: true\n  s: p"}, 12, "proposition name 'true' is reserved"),
+    ("duplicate-capacities-row-and-unknown-capacity", {5: "  a: c\n  a: c", 7: "  d: x"}, 6, "duplicate capacities for agent 'a'"),
+    ("unknown-capacity-and-duplicate-actions-row", {7: "  d: x\n  c: x\n  c: x"}, 7, "unknown capacity 'd'"),
+    ("bind-fault-and-later-parse-fault", {5: "  b: c", 16: "  s x -> s"}, 16, "expected '<state> (act, ...) -> <state>', got 's x -> s'"),
+    ("unknown-label-state-and-unknown-protocol-action", {12: "  t: p", 14: "  a @ s: y"}, 12, "unknown state 't'"),
+]
+
+
 @pytest.mark.parametrize(
     "edits, line, message",
-    [pytest.param(*case[1:], id=case[0]) for case in GAME_CASES],
+    [pytest.param(*case[1:], id=case[0]) for case in GAME_CASES + TWO_FAULT_CASES],
 )
 def test_game_file_diagnostic(capsys, tmp_path, edits, line, message):
     target = tmp_path / "bad.game"

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from upatl.gamespec import (
     GameSpecError,
-    bind_game,
     canonical_form,
     load_game,
     parse_game,

@@ -305,6 +305,37 @@ class TestConstruction:
                 transitions={("q", ("x",)): "q"},
             )
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"capacities": {"a": ["c"], "zz": ["c"]}}, "capacities for undeclared agent 'zz'"),
+            ({"actions": {"c": ["x"], "d": ["y"]}}, "actions for undeclared capacity 'd'"),
+            ({"labels": {"t": ["p"]}}, "labels for undeclared state 't'"),
+            (
+                {"protocol": {("a", "s"): ["x"], ("zz", "s"): ["x"]}},
+                "protocol for undeclared (agent, state) ('zz', 's')",
+            ),
+            ({"states": ["s", "s"]}, "duplicate state 's'"),
+            ({"agents": ["a", "a"]}, "duplicate agent 'a'"),
+        ],
+        ids=["capacities", "actions", "labels", "protocol", "states", "agents"],
+    )
+    def test_build_game_rejects_what_it_would_drop(self, edits, message):
+        # Nothing given is ignored: a row keyed by an undeclared name, or a
+        # name declared twice, is an error naming it.
+        fields = dict(
+            name="g",
+            agents=["a"],
+            capacities={"a": ["c"]},
+            actions={"c": ["x"]},
+            states=["s"],
+            labels={},
+            protocol={("a", "s"): ["x"]},
+            transitions={("s", ("x",)): "s"},
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_game(**{**fields, **edits})
+
 
 # Every ``GeneratorParams`` shape: states, agents, capacities per agent and
 # actions per capacity, each over its whole range.

@@ -1,9 +1,10 @@
 import gc
+import itertools
 
 import pytest
 
 from upatl.checker import Verdict, canonical_assignment, check_state
-from upatl.formula import Atom, Next, Strat, Until, parse_formula
+from upatl.formula import And, Atom, Next, Not, Release, Strat, Until, parse_formula
 from upatl.model import build_game, validate_structure
 from upatl.oracle import (
     BudgetExceeded,
@@ -191,6 +192,41 @@ class TestDegenerateAgreement:
                 for q in game.states:
                     verdict = check_state(game, q, f, n)
                     assert (verdict is Verdict.TRUE) == (q in expected)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_negation_conjunction_and_nesting_agree(self, seed):
+        # Operands built from !, & and a nested <<B>> N, so every branch of
+        # the fixed point's recursion runs.  A bounded R goal is never TRUE
+        # through an infinite play, so only its decided verdicts are
+        # compared, as criterion 5 does.
+        game = generate_random_game(
+            GeneratorParams(
+                seed=900 + seed,
+                states=2 + seed % 2,
+                agents=1 + seed % 3,
+                capacities_per_agent=1,
+            )
+        )
+        n = len(game.state_names)
+        props = [p for p, name in enumerate(game.prop_names) if name != "true"]
+        p, q = (Atom(prop) for prop in (props + [game.true_prop] * 2)[:2])
+        coalitions = [frozenset()] + [frozenset({a}) for a in game.agents]
+        inner = Strat(coalitions[seed % len(coalitions)], Next(p))
+        operands = [
+            Not(p), And(p, Not(q)), Not(And(p, q)), inner, Not(inner), And(q, inner)
+        ]
+        for coalition, left, right in itertools.product(coalitions, operands, operands):
+            for goal in (Next(left), Until(left, right), Release(left, right)):
+                f = Strat(coalition, goal)
+                expected = atl_fixed_point(game, f)
+                for state in game.states:
+                    verdict = check_state(game, state, f, n)
+                    if not isinstance(goal, Release):
+                        assert (verdict is Verdict.TRUE) == (state in expected)
+                    elif verdict is Verdict.TRUE:
+                        assert state in expected
+                    elif verdict is Verdict.FALSE:
+                        assert state not in expected
 
 
 class TestTemplates:

@@ -387,6 +387,42 @@ class TestOutcomes:
             "coalition contains an unknown agent"
         ]
 
+    @pytest.mark.parametrize(
+        "pivot, decisions, expected",
+        [
+            # Ids of opp's tree on hand: s0=0, s1=1; serve=1, swingL=2.
+            (
+                0,
+                {(0,): (2,), (0, 1): (1,), (0, 99): (1,)},
+                ["decision at history (0, 99) has an unknown state"],
+            ),
+            (0, {(0,): (99,)}, ["decision at history (0,) has an unknown action"]),
+            (0, {(0,): (-1,)}, ["decision at history (0,) has an unknown action"]),
+            (
+                99,
+                {(99,): (1,)},
+                [
+                    "pivot 99 is an unknown state",
+                    "decision at history (99,) has an unknown state",
+                ],
+            ),
+            (
+                -1,
+                {(-1,): (1,)},
+                [
+                    "pivot -1 is an unknown state",
+                    "decision at history (-1,) has an unknown state",
+                ],
+            ),
+        ],
+        ids=["history-state", "action", "negative-action", "pivot", "negative-pivot"],
+    )
+    def test_ids_outside_the_game(self, g_hand, pivot, decisions, expected):
+        # Ids are checked before the walk: none is read as another by
+        # wrapping around, and none is used as an index.
+        tree = StrategyTree(frozenset({1}), pivot, 2, decisions)
+        assert validate_strategy_tree(g_hand, tree) == expected
+
     @pytest.mark.parametrize("decision", [(), ("serve", "serve")])
     def test_decision_arity(self, g_hand, decision):
         opp = g_hand.agent_names.index("opp")
