@@ -24,9 +24,22 @@ Line-oriented and diff-friendly:
 
 Comments start with ``#``.  Every section must appear exactly once except
 ``init``, which is optional metadata (the default state for state checking).
-``load_game`` parses, then ``bind_with_report`` checks names, builds the
-dense structure with ``model.build_game`` and validates it; loading succeeds
-only on a clean report, and every diagnostic carries the line it points at.
+A line that is ``game`` or starts with ``game `` (an ASCII space), a
+``<section>:`` line and an ``init:`` line are never rows.  Every other line
+of a section is one row, read by that section's pattern in ``_ROWS``: a name
+list (``agents``, ``states``), ``key: list`` (``capacities``, ``actions``,
+``labels``), ``agent @ state: list`` (``protocol``) or
+``state (list) -> state`` (``transitions``), each built from ``model.IDENT``,
+with any Unicode whitespace around names and separators.  The match's groups
+are the row's names, and the names of its list are one ``findall``; only a
+rejected row is walked name by name, to name its fault.  Lines end where
+``str.splitlines`` ends them.
+
+``load_game`` parses, then ``bind_with_report`` builds the dense structure
+with ``model.build_game`` and validates it; when ``build_game`` refuses the
+rows, the binder finds the first unknown or duplicate name with its line.
+Loading succeeds only on a clean report, and every diagnostic carries the
+line it points at.
 """
 
 from __future__ import annotations
@@ -47,9 +60,12 @@ from .model import (
     validate_structure,
 )
 
+_NAME = re.compile(IDENT)
 _IDENT = re.compile(rf"{IDENT}\Z")
-_PROTOCOL_ROW = re.compile(rf"({IDENT})\s*@\s*({IDENT})\s*:\s*(.*)\Z")
-_TRANSITION_ROW = re.compile(rf"({IDENT})\s*\(([^)]*)\)\s*->\s*({IDENT})\Z")
+# The shapes of a row with any text for its list: used, and compiled, only
+# to name the fault of a row its section's pattern rejected.
+_PROTOCOL_SHAPE = rf"({IDENT})\s*@\s*({IDENT})\s*:\s*(.*)\Z"
+_TRANSITION_SHAPE = rf"({IDENT})\s*\(([^)]*)\)\s*->\s*({IDENT})\Z"
 _SECTIONS = (
     "agents",
     "capacities",
@@ -59,6 +75,30 @@ _SECTIONS = (
     "protocol",
     "transitions",
 )
+
+
+def _row(shape: str) -> re.Pattern:
+    """A whole line holding one row of ``shape``, with any whitespace around
+    it and an optional trailing comment."""
+    return re.compile(rf"\s*{shape}\s*(?:#.*)?")
+
+
+_LIST = rf"{IDENT}(?:\s*,\s*{IDENT})*"
+_NAMES_ROW = _row(rf"({IDENT})(?:\s*,\s*({_LIST}))?")
+_KEYED_ROW = _row(rf"({IDENT})\s*:(?:\s*({_LIST}))?")
+# Each section's row pattern.  Its groups are the row's names in order, a
+# list of names counting as one group; group 1 is the row's first name.
+_ROWS = {
+    "agents": _NAMES_ROW,
+    "capacities": _KEYED_ROW,
+    "actions": _KEYED_ROW,
+    "states": _NAMES_ROW,
+    "labels": _KEYED_ROW,
+    "protocol": _row(rf"({IDENT})\s*@\s*({IDENT})\s*:(?:\s*({_LIST}))?"),
+    "transitions": _row(rf"({IDENT})\s*\((?:\s*({_LIST}))?\s*\)\s*->\s*({IDENT})"),
+}
+# The first names of lines that may be a header rather than a row.
+_WORDS = frozenset(("game", "init", *_SECTIONS))
 
 
 @dataclass(frozen=True)
@@ -113,68 +153,92 @@ def _idents(raw: str, line: int) -> list[str]:
     return names
 
 
+def _reject(section: str, line: str, lineno: int) -> None:
+    """Raise the fault of a row that ``section``'s pattern rejected: its
+    shape, or else its first name that is not an identifier."""
+    rest = line
+    if section in ("capacities", "actions", "labels"):
+        key, sep, rest = line.partition(":")
+        if not sep or not _IDENT.match(key.strip()):
+            _fail(lineno, f"expected '<name>: ...', got {line!r}")
+    elif section == "protocol":
+        match = re.match(_PROTOCOL_SHAPE, line)
+        if not match:
+            _fail(lineno, f"expected '<agent> @ <state>: actions', got {line!r}")
+        rest = match[3]
+    elif section == "transitions":
+        match = re.match(_TRANSITION_SHAPE, line)
+        if not match:
+            _fail(lineno, f"expected '<state> (act, ...) -> <state>', got {line!r}")
+        rest = match[2]
+    _idents(rest, lineno)
+    raise AssertionError(f"line {lineno}: {section} row {line!r} has no fault")
+
+
 def parse_game(text: str) -> GameDocument:
     doc = GameDocument()
     section: str | None = None
+    row_match = None  # the fullmatch of the section's row pattern
+    names_in = _NAME.findall
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw:
             continue
-        if line.startswith("game ") or line == "game":
-            if doc.name:
-                _fail(lineno, "duplicate game header")
-            name = line[len("game") :].strip()
-            if not _IDENT.match(name):
-                _fail(lineno, f"invalid game name {name!r}")
-            doc.name, doc.name_line = name, lineno
-            continue
-        if not doc.name:
-            _fail(lineno, "expected 'game <name>' before anything else")
-        header = line[:-1].strip() if line.endswith(":") else None
-        if header in _SECTIONS:
-            if header in doc.section_lines:
-                _fail(lineno, f"duplicate section {header!r}")
-            doc.section_lines[header] = lineno
-            section = header
-            continue
-        if line.startswith("init:"):
-            if doc.init is not None:
-                _fail(lineno, "duplicate init")
-            value = line[len("init:") :].strip()
-            if not _IDENT.match(value):
-                _fail(lineno, f"invalid init state {value!r}")
-            doc.init = (value, lineno)
-            section = None
-            continue
-        if section is None:
-            _fail(lineno, f"unexpected line outside any section: {line!r}")
-        if section == "agents":
-            doc.agents += [(n, lineno) for n in _idents(line, lineno)]
-        elif section == "states":
-            doc.states += [(n, lineno) for n in _idents(line, lineno)]
-        elif section in ("capacities", "actions", "labels"):
-            key, sep, rest = line.partition(":")
-            key = key.strip()
-            if not sep or not _IDENT.match(key):
-                _fail(lineno, f"expected '<name>: ...', got {line!r}")
-            getattr(doc, section).append((key, _idents(rest, lineno), lineno))
+        # A row costs one match and one findall over its list.  The long way
+        # below is for the other lines, for rows whose first name is a word
+        # of the format (which keep the header rules' precedence), for lines
+        # ending in ":" (most are section headers) and for rejected rows.
+        row = row_match and raw[-1] != ":" and row_match(raw)
+        if row:
+            fields = row.groups("")  # a blank list is ""
+        if not row or fields[0] in _WORDS:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("game ") or line == "game":
+                if doc.name:
+                    _fail(lineno, "duplicate game header")
+                name = line[len("game") :].strip()
+                if not _IDENT.match(name):
+                    _fail(lineno, f"invalid game name {name!r}")
+                doc.name, doc.name_line = name, lineno
+                continue
+            if not doc.name:
+                _fail(lineno, "expected 'game <name>' before anything else")
+            header = line[:-1].strip() if line.endswith(":") else None
+            if header in _ROWS:
+                if header in doc.section_lines:
+                    _fail(lineno, f"duplicate section {header!r}")
+                doc.section_lines[header] = lineno
+                section, row_match = header, _ROWS[header].fullmatch
+                continue
+            if line.startswith("init:"):
+                if doc.init is not None:
+                    _fail(lineno, "duplicate init")
+                value = line[len("init:") :].strip()
+                if not _IDENT.match(value):
+                    _fail(lineno, f"invalid init state {value!r}")
+                doc.init = (value, lineno)
+                section = row_match = None
+                continue
+            if section is None:
+                _fail(lineno, f"unexpected line outside any section: {line!r}")
+            row = row_match(raw)
+            if not row:
+                _reject(section, line, lineno)
+            fields = row.groups("")
+        if section == "transitions":
+            source, acts, target = fields
+            doc.transitions.append((source, tuple(names_in(acts)), target, lineno))
         elif section == "protocol":
-            match = _PROTOCOL_ROW.match(line)
-            if not match:
-                _fail(lineno, f"expected '<agent> @ <state>: actions', got {line!r}")
-            agent, state, rest = match.groups()
-            doc.protocol.append((agent, state, _idents(rest, lineno), lineno))
-        elif section == "transitions":
-            match = _TRANSITION_ROW.match(line)
-            if not match:
-                _fail(
-                    lineno,
-                    f"expected '<state> (act, ...) -> <state>', got {line!r}",
-                )
-            source, acts, target = match.groups()
-            doc.transitions.append(
-                (source, tuple(_idents(acts, lineno)), target, lineno)
-            )
+            agent, state, acts = fields
+            doc.protocol.append((agent, state, names_in(acts), lineno))
+        elif section == "agents" or section == "states":
+            first, rest = fields
+            names = [first, *names_in(rest)]
+            getattr(doc, section).extend([(name, lineno) for name in names])
+        else:
+            key, rest = fields
+            getattr(doc, section).append((key, names_in(rest), lineno))
     if not doc.name:
         _fail(1, "missing 'game <name>' header")
     for required in _SECTIONS:
@@ -224,15 +288,30 @@ def _keyed(
     return rows
 
 
-def bind_with_report(
-    doc: GameDocument,
-) -> tuple[GameStructure, list[Diagnostic]]:
-    """Check names, build the structure with ``build_game``, and return the
-    validation report as span-carrying diagnostics instead of raising.
+def _arguments(doc: GameDocument) -> dict:
+    """``build_game``'s keyword arguments, the document's rows by key; two
+    rows with one key are a ``ValueError``, since a dict would merge them."""
+    arguments = {
+        "agents": [name for name, _ in doc.agents],
+        "capacities": {key: names for key, names, _ in doc.capacities},
+        "actions": {key: names for key, names, _ in doc.actions},
+        "states": [name for name, _ in doc.states],
+        "labels": {key: names for key, names, _ in doc.labels},
+        "protocol": {(agent, state): acts for agent, state, acts, _ in doc.protocol},
+        "transitions": {
+            (source, joint): target for source, joint, target, _ in doc.transitions
+        },
+        "init": None if doc.init is None else doc.init[0],
+    }
+    for section in ("capacities", "actions", "labels", "protocol", "transitions"):
+        if len(arguments[section]) < len(getattr(doc, section)):
+            raise ValueError(f"two {section} rows share a key")
+    return arguments
 
-    Name-resolution problems (unknown or duplicate identifiers, malformed
-    arities) are hard errors and still raise.
-    """
+
+def _check_names(doc: GameDocument) -> None:
+    """Raise the first name-resolution fault of the document, with its line:
+    the faults for which ``build_game`` refuses the rows."""
     agents = _declare(doc.agents, "agent")
     states = _declare(doc.states, "state")
     if not agents:
@@ -244,9 +323,9 @@ def bind_with_report(
     known_caps = {cap for caps in capacities.values() for cap in caps}
     actions = _keyed(doc, "actions", known_caps, "capacity", "action")
     known_acts = {act for acts in actions.values() for act in acts}
-    labels = _keyed(doc, "labels", states, "state", "proposition", RESERVED_PROPS)
+    _keyed(doc, "labels", states, "state", "proposition", RESERVED_PROPS)
 
-    protocol: dict[tuple[str, str], list[str]] = {}
+    protocol: set[tuple[str, str]] = set()
     for agent, state, acts, line in doc.protocol:
         if agent not in agents:
             _fail(line, f"unknown agent {agent!r}")
@@ -257,9 +336,10 @@ def bind_with_report(
         for act in acts:
             if act not in known_acts:
                 _fail(line, f"unknown action {act!r}")
-        protocol[(agent, state)] = _distinct(acts, line, "action")
+        _distinct(acts, line, "action")
+        protocol.add((agent, state))
 
-    transitions: dict[tuple[str, tuple[str, ...]], str] = {}
+    transitions: set[tuple[str, tuple[str, ...]]] = set()
     for source, joint, target, line in doc.transitions:
         for state in (source, target):
             if state not in states:
@@ -271,25 +351,30 @@ def bind_with_report(
                 _fail(line, f"unknown action {act!r}")
         if (source, joint) in transitions:
             _fail(line, "duplicate transition")
-        transitions[(source, joint)] = target
+        transitions.add((source, joint))
 
-    init = None
     if doc.init is not None:
         init, line = doc.init
         if init not in states:
             _fail(line, f"unknown init state {init!r}")
 
-    game = build_game(
-        name=doc.name,
-        agents=list(agents),
-        capacities=capacities,
-        actions=actions,
-        states=list(states),
-        labels=labels,
-        protocol=protocol,
-        transitions=transitions,
-        init=init,
-    )
+
+def bind_with_report(
+    doc: GameDocument,
+) -> tuple[GameStructure, list[Diagnostic]]:
+    """Build the structure with ``build_game`` from the document's rows, and
+    return the validation report as span-carrying diagnostics instead of
+    raising.
+
+    Name-resolution problems (unknown or duplicate identifiers, malformed
+    arities), for which ``build_game`` refuses the rows, are hard errors and
+    still raise, with the line ``_check_names`` finds for the first.
+    """
+    try:
+        game = build_game(name=doc.name, **_arguments(doc))
+    except ValueError:
+        _check_names(doc)
+        raise
 
     # A reported row is found by its key, unique since duplicate rows are
     # rejected above; without a row, the report points at the section.

@@ -13,6 +13,7 @@ kept only for diagnostics and serialization.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 AgentId = int
@@ -34,6 +35,11 @@ TRUE_PROP = "true"
 KEYWORDS_TEMPORAL = ("N", "U", "R", "F", "G")
 RESERVED_PROPS = ("true", "false", "K") + KEYWORDS_TEMPORAL
 
+
+# Set while ``build_game`` constructs a structure: every id it interned is in
+# range by construction, so ``GameStructure`` does not walk them again.  A
+# direct construction or a ``dataclasses.replace`` checks every field.
+_interning = threading.local()
 
 # Violation kinds produced by validate_structure.
 EMPTY_CAPACITIES = "empty-capacities"
@@ -63,7 +69,8 @@ class GameStructure:
     Immutable after construction; safe to share across concurrent evaluators.
     ``validate_structure`` checks the semantic invariants (the constructor
     only checks shapes and index ranges, so partially written inputs can
-    still be diagnosed).
+    still be diagnosed; for a structure ``build_game`` interned, only that
+    there is an agent and a state).
     """
 
     name: str
@@ -87,15 +94,17 @@ class GameStructure:
     )
 
     def __post_init__(self) -> None:
+        if not self.agent_names:
+            raise ValueError("a game needs at least one agent")
+        if not self.state_names:
+            raise ValueError("a game needs at least one state")
+        if getattr(_interning, "active", False):
+            return
         k = len(self.agent_names)
         n_caps = len(self.capacity_names)
         n_states = len(self.state_names)
         n_props = len(self.prop_names)
         n_acts = len(self.action_names)
-        if k == 0:
-            raise ValueError("a game needs at least one agent")
-        if n_states == 0:
-            raise ValueError("a game needs at least one state")
         if TRUE_PROP not in self.prop_names:
             raise ValueError(f"reserved proposition {TRUE_PROP!r} missing")
         true_id = self.prop_names.index(TRUE_PROP)
@@ -240,9 +249,9 @@ def validate_structure(game: GameStructure) -> list[Violation]:
             )
     for a in game.agents:
         allowed = game.allowed_actions(a)
-        for q in game.states:
-            d = game.protocols[a][q]
-            for x in sorted(d - allowed):
+        caps = [(c, game.capacity_actions[c]) for c in sorted(game.agent_capacities[a])]
+        for q, d in enumerate(game.protocols[a]):
+            for x in () if d <= allowed else sorted(d - allowed):
                 report.append(
                     Violation(
                         PROTOCOL_OUTSIDE_CAPACITIES,
@@ -254,8 +263,8 @@ def validate_structure(game: GameStructure) -> list[Violation]:
                         action=x,
                     )
                 )
-            for c in sorted(game.agent_capacities[a]):
-                if not d & game.capacity_actions[c]:
+            for c, acts in caps:
+                if d.isdisjoint(acts):
                     report.append(
                         Violation(
                             CAPACITY_MISSING_ACTION,
@@ -267,8 +276,19 @@ def validate_structure(game: GameStructure) -> list[Violation]:
                             capacity=c,
                         )
                     )
-    for q in game.states:
-        for joint in game.joint_actions(q):
+    # The transitions are keyed by exactly the joint actions the protocol
+    # sets allow: the product of the agents' sets at each state.  Any that
+    # miss are reported in ``joint_actions`` order, then any spurious ones.
+    columns = list(zip(*game.protocols))  # by state, then agent
+    available = {
+        (q, joint)
+        for q, column in enumerate(columns)
+        for joint in itertools.product(*column)
+    }
+    if game.transitions.keys() == available:
+        return report
+    for q, column in enumerate(columns):
+        for joint in itertools.product(*map(sorted, column)):
             if (q, joint) not in game.transitions:
                 report.append(
                     Violation(
@@ -279,17 +299,16 @@ def validate_structure(game: GameStructure) -> list[Violation]:
                         joint=joint,
                     )
                 )
-    for q, joint in sorted(game.transitions):
-        if not game.is_available(q, joint):
-            report.append(
-                Violation(
-                    SPURIOUS_TRANSITION,
-                    f"transition at {game.state_names[q]} under "
-                    f"{game.joint_label(joint)} uses an unavailable joint action",
-                    state=q,
-                    joint=joint,
-                )
+    for q, joint in sorted(game.transitions.keys() - available):
+        report.append(
+            Violation(
+                SPURIOUS_TRANSITION,
+                f"transition at {game.state_names[q]} under "
+                f"{game.joint_label(joint)} uses an unavailable joint action",
+                state=q,
+                joint=joint,
             )
+        )
     return report
 
 
@@ -307,82 +326,145 @@ def build_game(
     """Intern a name-level description into a dense GameStructure.
 
     The one constructor from names: the random generator and the game-file
-    binder (which checks every name, with its source line, first) both call
-    it, and ``game_names`` is its inverse.  Ids follow declaration order,
-    the order ``render_game`` writes:
-    capacities by first appearance walking ``agents`` and each one's
-    capacities, actions walking those capacities and each one's actions,
-    props walking ``states`` and each one's labels; the reserved always-true
-    atom is appended and applied to every state.
+    binder (which, when this refuses a file's rows, finds the fault's source
+    line) both call it, and ``game_names`` is its inverse.  Ids follow
+    declaration order, the order ``render_game`` writes: capacities by first
+    appearance walking ``agents`` and each one's capacities, actions walking
+    those capacities and each one's actions, props walking ``states`` and
+    each one's labels; the reserved always-true atom is appended and applied
+    to every state.
 
-    Raises ``ValueError`` on a name declared twice in ``agents`` or
-    ``states``, or a row keyed by a name not declared.
+    Raises ``ValueError`` naming what it would otherwise drop, merge or
+    look up in vain: a name declared twice in ``agents`` or ``states``, a row
+    keyed by a name not declared, a name listed twice in one row, a protocol
+    or transitions row or ``init`` naming an undeclared state or action, or
+    a joint action whose arity is not the number of agents.  So every id it
+    interns is in range, and the structure does not check them again.
     """
-    agent_set = set(agents)
-    cap_names = list(dict.fromkeys(c for a in agents for c in capacities.get(a, [])))
-    cap_index = {n: i for i, n in enumerate(cap_names)}
-    state_index = {n: i for i, n in enumerate(states)}
-    for what, names, distinct in (
-        ("agent", agents, agent_set),
+    agent_index, state_index = _index(agents), _index(states)
+    for what, names, index in (
+        ("agent", agents, agent_index),
         ("state", states, state_index),
     ):
-        if len(distinct) < len(names):
-            repeated = next(n for i, n in enumerate(names) if n in names[:i])
-            raise ValueError(f"duplicate {what} {repeated!r}")
-    pairs = set(itertools.product(agents, states))
-    for section, what, keys, declared in (
-        ("capacities", "agent", capacities.keys(), agent_set),
-        ("actions", "capacity", actions.keys(), cap_index.keys()),
-        ("labels", "state", labels.keys(), state_index.keys()),
-        ("protocol", "(agent, state)", protocol.keys(), pairs),
-    ):
-        if not keys <= declared:
-            key = next(key for key in keys if key not in declared)
-            raise ValueError(f"{section} for undeclared {what} {key!r}")
-    act_names = list(dict.fromkeys(x for c in cap_names for x in actions.get(c, [])))
-    act_index = {n: i for i, n in enumerate(act_names)}
-    prop_names = list(dict.fromkeys(p for q in states for p in labels.get(q, [])))
-    for p in prop_names:
-        if p in RESERVED_PROPS:
-            raise ValueError(f"proposition name {p!r} is reserved")
-    prop_names.append(TRUE_PROP)
-    true_id = len(prop_names) - 1
-    prop_index = {n: i for i, n in enumerate(prop_names)}
-
-    label_sets = []
-    for q in states:
-        ids = {prop_index[p] for p in labels.get(q, [])}
-        ids.add(true_id)
-        label_sets.append(frozenset(ids))
-    gamma = [frozenset(act_index[x] for x in actions.get(c, [])) for c in cap_names]
-    big_gamma = [
-        frozenset(cap_index[c] for c in capacities.get(a, [])) for a in agents
-    ]
-    proto = [
-        tuple(
-            frozenset(act_index[x] for x in protocol.get((a, q), []))
-            for q in states
-        )
-        for a in agents
-    ]
-    trans = {
-        (state_index[q], tuple(act_index[x] for x in joint)): state_index[target]
-        for (q, joint), target in transitions.items()
-    }
-    return GameStructure(
-        name=name,
-        agent_names=tuple(agents),
-        capacity_names=tuple(cap_names),
-        state_names=tuple(states),
-        prop_names=tuple(prop_names),
-        action_names=tuple(act_names),
-        labels=tuple(label_sets),
-        agent_capacities=tuple(big_gamma),
-        capacity_actions=tuple(gamma),
-        protocols=tuple(proto),
-        transitions=trans,
-        init_state=None if init is None else state_index[init],
+        if len(index) < len(names):
+            raise ValueError(f"duplicate {what} {_repeated(names)!r}")
+    cap_index, big_gamma = _intern(
+        "capacities", capacities, agent_index, "agent", "capacity"
     )
+    act_index, gamma = _intern("actions", actions, cap_index, "capacity", "action")
+    prop_index, label_ids = _intern(
+        "labels", labels, state_index, "state", "proposition"
+    )
+    if not prop_index.keys().isdisjoint(RESERVED_PROPS):
+        reserved = next(p for p in prop_index if p in RESERVED_PROPS)
+        raise ValueError(f"proposition name {reserved!r} is reserved")
+    prop_index[TRUE_PROP] = len(prop_index)
+    true = frozenset((prop_index[TRUE_PROP],))
+    label_sets = [ids | true for ids in label_ids]
+    cells = list(itertools.product(agents, states))
+    if not protocol.keys() <= set(cells):
+        key = next(key for key in protocol if key not in cells)
+        raise ValueError(f"protocol for undeclared (agent, state) {key!r}")
+    cell_sets = _id_sets(
+        act_index, [protocol.get(cell, ()) for cell in cells], "action", cells
+    )
+    n = len(states)
+    proto = [tuple(cell_sets[i : i + n]) for i in range(0, len(cell_sets), n)]
+    for row in transitions:
+        if len(row[1]) != len(agents):
+            raise ValueError(
+                f"transitions row {row!r}: joint action arity must equal the "
+                "number of agents"
+            )
+    act_id = act_index.__getitem__
+    try:
+        trans = {
+            (state_index[q], tuple(map(act_id, joint))): state_index[target]
+            for (q, joint), target in transitions.items()
+        }
+    except KeyError:
+        raise _undeclared(transitions, state_index, act_index) from None
+    if init is not None and init not in state_index:
+        raise ValueError(f"init names undeclared state {init!r}")
+    _interning.active = True
+    try:
+        return GameStructure(
+            name=name,
+            agent_names=tuple(agents),
+            capacity_names=tuple(cap_index),
+            state_names=tuple(states),
+            prop_names=tuple(prop_index),
+            action_names=tuple(act_index),
+            labels=tuple(label_sets),
+            agent_capacities=tuple(big_gamma),
+            capacity_actions=tuple(gamma),
+            protocols=tuple(proto),
+            transitions=trans,
+            init_state=None if init is None else state_index[init],
+        )
+    finally:
+        _interning.active = False
+
+
+def _index(names) -> dict[str, int]:
+    """Each name's id: its place in the order the names first appear."""
+    return {name: i for i, name in enumerate(dict.fromkeys(names))}
+
+
+def _repeated(names: list[str]) -> str:
+    """The first name listed a second time."""
+    return next(n for i, n in enumerate(names) if n in names[:i])
+
+
+def _intern(
+    section: str, rows: dict, keys: dict[str, int], key_kind: str, what: str
+) -> tuple[dict[str, int], list[frozenset[int]]]:
+    """The ids of the names ``section``'s rows list, in the order they first
+    appear walking ``keys``, and each key's row as a set of those ids.  Every
+    row is keyed by one of ``keys``."""
+    if not rows.keys() <= keys.keys():
+        key = next(key for key in rows if key not in keys)
+        raise ValueError(f"{section} for undeclared {key_kind} {key!r}")
+    lists = [rows.get(key, ()) for key in keys]
+    index = _index(itertools.chain.from_iterable(lists))
+    return index, _id_sets(index, lists, what)
+
+
+def _undeclared(transitions: dict, states: dict, actions: dict) -> ValueError:
+    """The error naming the first transitions row that names an undeclared
+    state or action, and the first such name in reading order."""
+    for row, target in transitions.items():
+        q, joint = row
+        for what, name, known in (
+            ("state", q, states),
+            *(("action", x, actions) for x in joint),
+            ("state", target, states),
+        ):
+            if name not in known:
+                return ValueError(
+                    f"transitions row {row!r} names undeclared {what} {name!r}"
+                )
+    raise AssertionError("no transitions row names an undeclared name")
+
+
+def _id_sets(
+    index: dict[str, int], rows: list, what: str, keys: list | None = None
+) -> list[frozenset[int]]:
+    """The ids of each row's names, no row listing a name twice.  Only a
+    protocol row, keyed by its entry of ``keys``, may name what no other
+    row declared."""
+    try:
+        sets = [frozenset(map(index.__getitem__, row)) for row in rows]
+    except KeyError as err:
+        (missing,) = err.args
+        key = next(key for key, row in zip(keys, rows) if missing in row)
+        raise ValueError(
+            f"protocol row {key!r} names undeclared {what} {missing!r}"
+        ) from None
+    if list(map(len, sets)) != list(map(len, rows)):
+        row = next(row for row, ids in zip(rows, sets) if len(ids) < len(row))
+        raise ValueError(f"duplicate {what} {_repeated(row)!r}")
+    return sets
 
 
 def game_names(game: GameStructure) -> dict:

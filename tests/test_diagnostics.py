@@ -139,15 +139,63 @@ TWO_FAULT_CASES = [
 ]
 
 
+# Which lines are rows, and what a row may hold.  A `game` line (`game`
+# alone or followed by an ASCII space), a `<section>:` line or an `init:`
+# line is never a row, in any section; any Unicode whitespace may surround
+# names and separators but not split a name; and every line end of
+# ``str.splitlines`` ends a line.
+ROW_GRAMMAR_CASES = [
+    ("game-line-in-agents", {3: "  a\n  game"}, 4, "duplicate game header"),
+    ("game-line-with-tab-in-agents", {3: "  a\n  game\t"}, 4, "duplicate game header"),
+    ("game-row-in-protocol", {14: "  game @ s: x"}, 14, "duplicate game header"),
+    # Here `game` is a name: the agent count, two, breaks every joint action.
+    ("game-first-before-comma", {3: "  game, a"}, 16, "joint action arity must equal the number of agents"),
+    ("game-after-comma", {3: "  a, game"}, 16, "joint action arity must equal the number of agents"),
+    ("game-header-with-nbsp", {1: "game\u00a0g"}, 1, "expected 'game <name>' before anything else"),
+    ("game-header-with-tab", {1: "game\tg"}, 1, "expected 'game <name>' before anything else"),
+    ("section-name-keys-a-row", {5: "  a: c\n  states: c"}, 6, "unknown agent 'states'"),
+    ("section-header-in-capacities", {5: "  a: c\n  states:"}, 9, "duplicate section 'states'"),
+    ("section-header-with-nbsp-colon", {5: "  a: c\n  states\u00a0:"}, 9, "duplicate section 'states'"),
+    ("init-line-in-labels", {12: "  init: p"}, 12, "duplicate init"),
+    ("init-keys-a-labels-row", {12: "  init : p"}, 12, "unknown state 'init'"),
+    ("init-row-in-agents", {3: "  a\n  init : s"}, 4, "invalid identifier 'init : s'"),
+    ("state-named-init", {9: "  s, init"}, 13, "agent a with capacity c has no action at init"),
+    ("nbsp-inside-a-name", {3: "  a\u00a0b"}, 3, "invalid identifier 'a\\xa0b'"),
+    ("tab-inside-a-name", {3: "  a\tb"}, 3, "invalid identifier 'a\\tb'"),
+    ("nbsp-and-em-space-around-separators", {14: "  a\u00a0@\u2003s\u00a0:\u2003y"}, 14, "unknown action 'y'"),
+    ("protocol-row-without-spaces", {14: "  a@s:y"}, 14, "unknown action 'y'"),
+    ("transition-row-without-spaces", {16: "  s(y)->s"}, 16, "unknown action 'y'"),
+    ("transition-row-with-tabs", {16: "\ts\t(\ty\t)\t->\ts"}, 16, "unknown action 'y'"),
+    ("blank-joint-action", {16: "  s ( ) -> s"}, 16, "joint action arity must equal the number of agents"),
+    ("split-arrow", {16: "  s (x) - > s"}, 16, "expected '<state> (act, ...) -> <state>', got 's (x) - > s'"),
+    ("vertical-tab-ends-a-line", {5: "  a: c\v  a: c"}, 6, "duplicate capacities for agent 'a'"),
+    ("file-separator-ends-a-line", {5: "  a: c\x1c  a: c"}, 6, "duplicate capacities for agent 'a'"),
+    ("line-separator-ends-a-line", {5: "  a: c\u2028  a: c"}, 6, "duplicate capacities for agent 'a'"),
+    ("unit-separator-is-whitespace", {5: "  a:\x1fc\x1f\n  a: c"}, 6, "duplicate capacities for agent 'a'"),
+]
+
+
 @pytest.mark.parametrize(
     "edits, line, message",
-    [pytest.param(*case[1:], id=case[0]) for case in GAME_CASES + TWO_FAULT_CASES],
+    [
+        pytest.param(*case[1:], id=case[0])
+        for case in GAME_CASES + TWO_FAULT_CASES + ROW_GRAMMAR_CASES
+    ],
 )
 def test_game_file_diagnostic(capsys, tmp_path, edits, line, message):
     target = tmp_path / "bad.game"
     target.write_text(edited(edits))
     got = run(capsys, "check", str(target), "-f", "true", "-k", "0")
     assert got == (65, "", f"error: line {line}: {message}\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_game_file_line_ends(capsys, tmp_path, end):
+    # The file is read with universal newlines; either end counts one line.
+    target = tmp_path / "bad.game"
+    target.write_bytes(edited({14: "  a @ s: y"}).replace("\n", end).encode())
+    got = run(capsys, "check", str(target), "-f", "true", "-k", "0")
+    assert got == (65, "", "error: line 14: unknown action 'y'\n")
 
 
 @pytest.mark.parametrize(

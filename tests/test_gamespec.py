@@ -148,6 +148,89 @@ class TestParseAndBind:
         assert err.value.diagnostics[0].line == 4
 
 
+# Every line end ``str.splitlines`` knows, by name.
+LINE_ENDS = {
+    "lf": "\n",
+    "crlf": "\r\n",
+    "cr": "\r",
+    "vt": "\v",
+    "ff": "\f",
+    "fs": "\x1c",
+    "gs": "\x1d",
+    "rs": "\x1e",
+    "nel": "\x85",
+    "ls": "\u2028",
+    "ps": "\u2029",
+}
+
+
+def respaced(text: str, space: str, indent: str) -> str:
+    """``text`` with each row indented by ``indent`` and every separator of a
+    row surrounded by ``space``; headers, ``init`` and blank lines are kept."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("  "):
+            row = line.replace(" ", "")
+            for sep in (",", ":", "@", "(", ")", "->"):
+                row = row.replace(sep, space + sep + space)
+            line = indent + row
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestRowGrammar:
+    """What a game file may hold between names, and where its lines end.
+    Each input reads as the unspaced, newline-ended file does."""
+
+    @pytest.mark.parametrize(
+        "space, indent",
+        [("\u00a0", "\u2003"), ("\u2003", "\u00a0"), ("\t", "\t"), ("", ""), (" \t ", "\t ")],
+        ids=["nbsp", "em-space", "tab", "none", "mixed"],
+    )
+    def test_any_whitespace_around_separators(self, hand_text, space, indent):
+        variant = respaced(hand_text, space, indent)
+        if not space:
+            assert "\nobs@s0:watch\n" in variant and "\ns0(watch,serve)->s0\n" in variant
+        assert render_game(load_game(variant)) == render_game(load_game(hand_text))
+
+    def test_a_comment_may_end_every_line(self, hand_text):
+        commented = "".join(
+            f"{line}  # note: a, b @ c (d) -> e\n" for line in hand_text.splitlines()
+        )
+        assert render_game(load_game(commented)) == render_game(load_game(hand_text))
+
+    @pytest.mark.parametrize("end", list(LINE_ENDS.values()), ids=list(LINE_ENDS))
+    def test_every_line_end_ends_a_line(self, hand_text, end):
+        assert render_game(load_game(hand_text.replace("\n", end))) == render_game(
+            load_game(hand_text)
+        )
+        broken = hand_text.replace("opp @ s1: serve", "opp @ s1: smash")
+        line = broken.splitlines().index("  opp @ s1: smash") + 1
+        with pytest.raises(GameSpecError) as err:
+            load_game(broken.replace("\n", end))
+        assert str(err.value) == f"line {line}: unknown action 'smash'"
+
+    def test_keywords_are_names_inside_rows(self):
+        # ``init`` and ``game`` are names where no rule reads the line as a
+        # header: ``init :`` is not ``init:``, and ``game,`` or ``game@`` is not
+        # ``game `` (see ``ROW_GRAMMAR_CASES`` in test_diagnostics.py).
+        text = (
+            "game g\nagents:\n  game,a\ncapacities:\n  game: c\n  a: c\n"
+            "actions:\n  c: x\nstates:\n  init, labels\ninit: init\n"
+            "labels:\n  init : p\n  labels: q\nprotocol:\n"
+            "  game@init: x\n  game@labels: x\n  a @ init: x\n  a @ labels: x\n"
+            "transitions:\n  init (x, x) -> labels\n  labels (x, x) -> init\n"
+        )
+        game = load_game(text)
+        assert game.agent_names == ("game", "a")
+        assert game.state_names == ("init", "labels")
+        assert game.state_names[game.init_state] == "init"
+        assert [sorted(game.prop_names[p] for p in props) for props in game.labels] == [
+            ["p", "true"],
+            ["q", "true"],
+        ]
+
+
 class TestRoundTrip:
     def test_fixture_round_trips(self, g_hand, g_mix):
         for game in (g_hand, g_mix):

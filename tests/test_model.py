@@ -274,6 +274,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(g_hand, **fields(g_hand))
 
+    def test_range_checks_resume_after_build_game(self, g_hand):
+        # ``build_game`` skips the structure's range checks only while it
+        # constructs, also when that construction fails.
+        with pytest.raises(ValueError, match="^a game needs at least one agent$"):
+            build_game(
+                name="g",
+                agents=[],
+                capacities={},
+                actions={},
+                states=["s"],
+                labels={},
+                protocol={},
+                transitions={},
+            )
+        with pytest.raises(ValueError, match="^init state out of range$"):
+            dataclasses.replace(g_hand, init_state=len(g_hand.state_names))
+
     def test_reserved_prop_labels_every_state(self, g_hand):
         true_id = g_hand.true_prop
         assert all(true_id in props for props in g_hand.labels)
@@ -317,12 +334,57 @@ class TestConstruction:
             ),
             ({"states": ["s", "s"]}, "duplicate state 's'"),
             ({"agents": ["a", "a"]}, "duplicate agent 'a'"),
+            (
+                {"transitions": {("zz", ("x",)): "s"}},
+                "transitions row ('zz', ('x',)) names undeclared state 'zz'",
+            ),
+            (
+                {"transitions": {("s", ("x",)): "zz"}},
+                "transitions row ('s', ('x',)) names undeclared state 'zz'",
+            ),
+            (
+                {"transitions": {("s", ("y",)): "s"}},
+                "transitions row ('s', ('y',)) names undeclared action 'y'",
+            ),
+            (
+                {"transitions": {("s", ("x", "x")): "s"}},
+                "transitions row ('s', ('x', 'x')): joint action arity must equal "
+                "the number of agents",
+            ),
+            (
+                {"protocol": {("a", "s"): ["x", "zz"]}},
+                "protocol row ('a', 's') names undeclared action 'zz'",
+            ),
+            ({"init": "zz"}, "init names undeclared state 'zz'"),
+            # A name listed twice in one row, in the game-file binder's words.
+            ({"capacities": {"a": ["c", "c"]}}, "duplicate capacity 'c'"),
+            ({"actions": {"c": ["x", "x"]}}, "duplicate action 'x'"),
+            ({"labels": {"s": ["p", "p"]}}, "duplicate proposition 'p'"),
+            ({"protocol": {("a", "s"): ["x", "x"]}}, "duplicate action 'x'"),
         ],
-        ids=["capacities", "actions", "labels", "protocol", "states", "agents"],
+        ids=[
+            "capacities",
+            "actions",
+            "labels",
+            "protocol",
+            "states",
+            "agents",
+            "transition-source",
+            "transition-target",
+            "transition-action",
+            "transition-arity",
+            "protocol-action",
+            "init",
+            "capacity-twice",
+            "action-twice",
+            "proposition-twice",
+            "protocol-action-twice",
+        ],
     )
     def test_build_game_rejects_what_it_would_drop(self, edits, message):
-        # Nothing given is ignored: a row keyed by an undeclared name, or a
-        # name declared twice, is an error naming it.
+        # Nothing given is ignored or looked up in vain: a row keyed by or
+        # naming an undeclared name, a name declared twice or listed twice in
+        # a row, or a joint action of the wrong arity is an error naming it.
         fields = dict(
             name="g",
             agents=["a"],
