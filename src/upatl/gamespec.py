@@ -36,25 +36,24 @@ rejected row is walked name by name, to name its fault.  Lines end where
 ``str.splitlines`` ends them.
 
 ``load_game`` parses, then ``bind_with_report`` builds the dense structure
-with ``model.build_game`` and validates it; when ``build_game`` refuses the
-rows, the binder finds the first unknown or duplicate name with its line.
-Loading succeeds only on a clean report, and every diagnostic carries the
-line it points at.
+with ``model.build_game``, which holds every name rule and their order, and
+validates it.  The binder finds the line of a ``NameFault`` and the rows
+that repeat a key, which no dict can pass.  Loading succeeds only on a
+clean report, and every diagnostic carries the line it points at.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .model import (
     EMPTY_CAPACITIES,
     IDENT,
     MISSING_TRANSITION,
-    RESERVED_PROPS,
     SPURIOUS_TRANSITION,
     GameStructure,
+    NameFault,
     build_game,
     game_names,
     validate_structure,
@@ -66,15 +65,6 @@ _IDENT = re.compile(rf"{IDENT}\Z")
 # to name the fault of a row its section's pattern rejected.
 _PROTOCOL_SHAPE = rf"({IDENT})\s*@\s*({IDENT})\s*:\s*(.*)\Z"
 _TRANSITION_SHAPE = rf"({IDENT})\s*\(([^)]*)\)\s*->\s*({IDENT})\Z"
-_SECTIONS = (
-    "agents",
-    "capacities",
-    "actions",
-    "states",
-    "labels",
-    "protocol",
-    "transitions",
-)
 
 
 def _row(shape: str) -> re.Pattern:
@@ -86,8 +76,9 @@ def _row(shape: str) -> re.Pattern:
 _LIST = rf"{IDENT}(?:\s*,\s*{IDENT})*"
 _NAMES_ROW = _row(rf"({IDENT})(?:\s*,\s*({_LIST}))?")
 _KEYED_ROW = _row(rf"({IDENT})\s*:(?:\s*({_LIST}))?")
-# Each section's row pattern.  Its groups are the row's names in order, a
-# list of names counting as one group; group 1 is the row's first name.
+# Each section's row pattern, in the order a missing section is reported.
+# Its groups are the row's names in order, a list of names counting as one
+# group; group 1 is the row's first name.
 _ROWS = {
     "agents": _NAMES_ROW,
     "capacities": _KEYED_ROW,
@@ -98,7 +89,7 @@ _ROWS = {
     "transitions": _row(rf"({IDENT})\s*\((?:\s*({_LIST}))?\s*\)\s*->\s*({IDENT})"),
 }
 # The first names of lines that may be a header rather than a row.
-_WORDS = frozenset(("game", "init", *_SECTIONS))
+_WORDS = frozenset(("game", "init", *_ROWS))
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,10 @@ def _fail(line: int, message: str) -> None:
 
 @dataclass
 class GameDocument:
-    """Parsed sections with source lines, before name resolution."""
+    """Parsed sections with source lines, before name resolution.  A row is
+    its name and line in ``agents``, ``states`` and ``init``; elsewhere it is
+    the key, the value and the line of an entry of ``build_game``'s
+    argument."""
 
     name: str = ""
     name_line: int = 0
@@ -136,8 +130,10 @@ class GameDocument:
     states: list[tuple[str, int]] = field(default_factory=list)
     init: tuple[str, int] | None = None
     labels: list[tuple[str, list[str], int]] = field(default_factory=list)
-    protocol: list[tuple[str, str, list[str], int]] = field(default_factory=list)
-    transitions: list[tuple[str, tuple[str, ...], str, int]] = field(
+    protocol: list[tuple[tuple[str, str], list[str], int]] = field(
+        default_factory=list
+    )
+    transitions: list[tuple[tuple[str, tuple[str, ...]], str, int]] = field(
         default_factory=list
     )
     section_lines: dict[str, int] = field(default_factory=dict)
@@ -228,10 +224,10 @@ def parse_game(text: str) -> GameDocument:
             fields = row.groups("")
         if section == "transitions":
             source, acts, target = fields
-            doc.transitions.append((source, tuple(names_in(acts)), target, lineno))
+            doc.transitions.append(((source, tuple(names_in(acts))), target, lineno))
         elif section == "protocol":
             agent, state, acts = fields
-            doc.protocol.append((agent, state, names_in(acts), lineno))
+            doc.protocol.append(((agent, state), names_in(acts), lineno))
         elif section == "agents" or section == "states":
             first, rest = fields
             names = [first, *names_in(rest)]
@@ -241,122 +237,72 @@ def parse_game(text: str) -> GameDocument:
             getattr(doc, section).append((key, names_in(rest), lineno))
     if not doc.name:
         _fail(1, "missing 'game <name>' header")
-    for required in _SECTIONS:
+    for required in _ROWS:
         if required not in doc.section_lines:
             _fail(doc.name_line, f"missing section {required!r}")
     return doc
 
 
-def _declare(pairs: list[tuple[str, int]], what: str) -> dict[str, None]:
-    """The declared names in order, as dict keys; a repeat is an error."""
-    names: dict[str, None] = {}
-    for name, line in pairs:
-        if name in names:
-            _fail(line, f"duplicate {what} {name!r}")
-        names[name] = None
-    return names
+# The sections whose rows ``build_game`` takes by key, each with the fault
+# of a row whose key an earlier row of the section has.
+_REPEATS = {
+    "capacities": "duplicate capacities for agent {0!r}",
+    "actions": "duplicate actions for capacity {0!r}",
+    "labels": "duplicate labels for state {0!r}",
+    "protocol": "duplicate protocol for {0[0]!r} at {0[1]!r}",
+    "transitions": "duplicate transition",
+}
+# The order in which a file's name faults are reported, as
+# ``model._refusal`` walks ``build_game``'s arguments.
+_ORDER = ("agents", "states", *_REPEATS, "init")
 
 
-def _distinct(names: list[str], line: int, what: str) -> list[str]:
-    """The names of one row; a name listed twice is an error."""
-    if len(set(names)) < len(names):
-        _declare([(name, line) for name in names], what)
-    return names
+def _line(doc: GameDocument, section: str, key, nth: int = 0) -> int:
+    """The line of the ``nth`` row of ``section`` keyed ``key`` (named, in
+    ``agents``, ``states`` and ``init``), or else of the section's header."""
+    rows = [doc.init] if section == "init" else getattr(doc, section)
+    lines = [line for first, *_, line in rows if first == key]
+    return lines[nth] if nth < len(lines) else doc.section_lines[section]
 
 
-def _keyed(
-    doc: GameDocument,
-    section: str,
-    keys: Container[str],
-    key_kind: str,
-    item: str,
-    reserved: tuple[str, ...] = (),
-) -> dict[str, list[str]]:
-    """The rows of a ``<key>: names`` section by key: each key is one of
-    ``keys`` and has one row, and a row's names are distinct and none is
-    ``reserved``."""
-    rows: dict[str, list[str]] = {}
-    for key, names, line in getattr(doc, section):
-        if key not in keys:
-            _fail(line, f"unknown {key_kind} {key!r}")
-        if key in rows:
-            _fail(line, f"duplicate {section} for {key_kind} {key!r}")
-        for name in names:
-            if name in reserved:
-                _fail(line, f"{item} name {name!r} is reserved")
-        rows[key] = _distinct(names, line, item)
-    return rows
-
-
-def _arguments(doc: GameDocument) -> dict:
-    """``build_game``'s keyword arguments, the document's rows by key; two
-    rows with one key are a ``ValueError``, since a dict would merge them."""
+def _arguments(doc: GameDocument) -> tuple[dict, tuple | None]:
+    """``build_game``'s keyword arguments, the first row of each key, and the
+    first row in ``_ORDER`` whose key an earlier row has, as (section, key,
+    value, line), or None: a dict would merge the two."""
     arguments = {
         "agents": [name for name, _ in doc.agents],
-        "capacities": {key: names for key, names, _ in doc.capacities},
-        "actions": {key: names for key, names, _ in doc.actions},
         "states": [name for name, _ in doc.states],
-        "labels": {key: names for key, names, _ in doc.labels},
-        "protocol": {(agent, state): acts for agent, state, acts, _ in doc.protocol},
-        "transitions": {
-            (source, joint): target for source, joint, target, _ in doc.transitions
-        },
         "init": None if doc.init is None else doc.init[0],
     }
-    for section in ("capacities", "actions", "labels", "protocol", "transitions"):
-        if len(arguments[section]) < len(getattr(doc, section)):
-            raise ValueError(f"two {section} rows share a key")
-    return arguments
+    repeat = None
+    for section in _REPEATS:
+        rows = getattr(doc, section)
+        first = arguments[section] = {key: value for key, value, _ in rows}
+        if len(first) < len(rows):
+            first.clear()
+            for key, value, line in rows:
+                if key in first:
+                    repeat = repeat or (section, key, value, line)
+                else:
+                    first[key] = value
+    return arguments, repeat
 
 
-def _check_names(doc: GameDocument) -> None:
-    """Raise the first name-resolution fault of the document, with its line:
-    the faults for which ``build_game`` refuses the rows."""
-    agents = _declare(doc.agents, "agent")
-    states = _declare(doc.states, "state")
-    if not agents:
-        _fail(doc.section_lines["agents"], "at least one agent is required")
-    if not states:
-        _fail(doc.section_lines["states"], "at least one state is required")
-
-    capacities = _keyed(doc, "capacities", agents, "agent", "capacity")
-    known_caps = {cap for caps in capacities.values() for cap in caps}
-    actions = _keyed(doc, "actions", known_caps, "capacity", "action")
-    known_acts = {act for acts in actions.values() for act in acts}
-    _keyed(doc, "labels", states, "state", "proposition", RESERVED_PROPS)
-
-    protocol: set[tuple[str, str]] = set()
-    for agent, state, acts, line in doc.protocol:
-        if agent not in agents:
-            _fail(line, f"unknown agent {agent!r}")
-        if state not in states:
-            _fail(line, f"unknown state {state!r}")
-        if (agent, state) in protocol:
-            _fail(line, f"duplicate protocol for {agent!r} at {state!r}")
-        for act in acts:
-            if act not in known_acts:
-                _fail(line, f"unknown action {act!r}")
-        _distinct(acts, line, "action")
-        protocol.add((agent, state))
-
-    transitions: set[tuple[str, tuple[str, ...]]] = set()
-    for source, joint, target, line in doc.transitions:
-        for state in (source, target):
-            if state not in states:
-                _fail(line, f"unknown state {state!r}")
-        if len(joint) != len(agents):
-            _fail(line, "joint action arity must equal the number of agents")
-        for act in joint:
-            if act not in known_acts:
-                _fail(line, f"unknown action {act!r}")
-        if (source, joint) in transitions:
-            _fail(line, "duplicate transition")
-        transitions.add((source, joint))
-
-    if doc.init is not None:
-        init, line = doc.init
-        if init not in states:
-            _fail(line, f"unknown init state {init!r}")
+def _located(doc: GameDocument, fault: NameFault) -> tuple[int, str]:
+    """The line of ``build_game``'s refusal, and its fault in the file's
+    words."""
+    section, key, name = fault.section, fault.key, fault.name
+    if fault.unknown:
+        message = f"unknown {fault.unknown} {name!r}"
+    elif name is not None:
+        message = str(fault)
+    elif section == "transitions":
+        message = "joint action arity must equal the number of agents"
+    else:  # an empty section
+        message = f"at least one {section[:-1]} is required"
+    if key is None:  # agents, states or init; a repeat is at its second row
+        return _line(doc, section, name, section != "init"), message
+    return _line(doc, section, key), message
 
 
 def bind_with_report(
@@ -364,20 +310,30 @@ def bind_with_report(
 ) -> tuple[GameStructure, list[Diagnostic]]:
     """Build the structure with ``build_game`` from the document's rows, and
     return the validation report as span-carrying diagnostics instead of
-    raising.
-
-    Name-resolution problems (unknown or duplicate identifiers, malformed
-    arities), for which ``build_game`` refuses the rows, are hard errors and
-    still raise, with the line ``_check_names`` finds for the first.
-    """
+    raising.  A ``NameFault`` of ``build_game`` raises with the line of the
+    row it names, in the file's words; so does a row that repeats a key,
+    where it comes first in ``build_game``'s order."""
+    arguments, repeat = _arguments(doc)
     try:
-        game = build_game(name=doc.name, **_arguments(doc))
-    except ValueError:
-        _check_names(doc)
-        raise
+        game = build_game(name=doc.name, **arguments)
+    except NameFault as fault:
+        line, message = _located(doc, fault)
+        place = (_ORDER.index(fault.section), line)
+        if repeat is None or place < (_ORDER.index(repeat[0]), repeat[-1]):
+            _fail(line, message)
+    if repeat is not None:
+        section, key, value, line = repeat
+        if section == "transitions":
+            # A transition's target is read before its repeat: build again
+            # with the repeat's target, to see whether it is declared.
+            arguments[section][key] = value
+            try:
+                build_game(name=doc.name, **arguments)
+            except NameFault as fault:
+                if fault.key == key:
+                    _fail(line, _located(doc, fault)[1])
+        _fail(line, _REPEATS[section].format(key))
 
-    # A reported row is found by its key, unique since duplicate rows are
-    # rejected above; without a row, the report points at the section.
     diagnostics = []
     for violation in validate_structure(game):
         if violation.kind == EMPTY_CAPACITIES:
@@ -394,11 +350,7 @@ def bind_with_report(
                 game.agent_names[violation.agent],
                 game.state_names[violation.state],
             )
-        line = next(
-            (row[-1] for row in getattr(doc, section) if row[:2] == key),
-            doc.section_lines[section],
-        )
-        diagnostics.append(Diagnostic(line, violation.message))
+        diagnostics.append(Diagnostic(_line(doc, section, key), violation.message))
     return game, diagnostics
 
 
@@ -416,17 +368,23 @@ def render_game(game: GameStructure) -> str:
     one."""
     names = game_names(game)
     init, join = names.pop("init"), ", ".join
+    # Spaced so that no row is a header: ``init:`` starts the init line and
+    # ``game `` a game header, so ``init :``, ``game@`` and ``game(``.
+    def key(name: str) -> str:
+        return "init :" if name == "init" else f"{name}:"
+
     sections = {
         "agents": [join(names["agents"])],
-        "capacities": [f"{a}: {join(cs)}" for a, cs in names["capacities"].items()],
-        "actions": [f"{c}: {join(xs)}" for c, xs in names["actions"].items()],
+        "capacities": [f"{key(a)} {join(cs)}" for a, cs in names["capacities"].items()],
+        "actions": [f"{key(c)} {join(xs)}" for c, xs in names["actions"].items()],
         "states": [join(names["states"])],
-        "labels": [f"{q}: {join(ps)}" for q, ps in names["labels"].items() if ps],
+        "labels": [f"{key(q)} {join(ps)}" for q, ps in names["labels"].items() if ps],
         "protocol": [
-            f"{a} @ {q}: {join(xs)}" for (a, q), xs in names["protocol"].items()
+            f"{a}{'@' if a == 'game' else ' @ '}{q}: {join(xs)}"
+            for (a, q), xs in names["protocol"].items()
         ],
         "transitions": [
-            f"{q} ({join(joint)}) -> {target}"
+            f"{q}{'' if q == 'game' else ' '}({join(joint)}) -> {target}"
             for (q, joint), target in names["transitions"].items()
         ],
     }

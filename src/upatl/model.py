@@ -49,6 +49,18 @@ MISSING_TRANSITION = "missing-transition"
 SPURIOUS_TRANSITION = "spurious-transition"
 
 
+class NameFault(ValueError):
+    """A name that ``build_game`` refuses, and where it is: its ``section``
+    (the argument of ``build_game``), the ``key`` of its row there (None in
+    ``agents``, ``states`` and ``init``), and the offending ``name`` (None
+    for an empty section or a joint action's wrong arity).  For a name that
+    is not declared, ``unknown`` is the kind of name it had to be."""
+
+    def __init__(self, message: str, section: str, key=None, name=None, unknown=None):
+        super().__init__(message)
+        self.section, self.key, self.name, self.unknown = section, key, name, unknown
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural defect, with enough location to point at the culprit."""
@@ -95,9 +107,9 @@ class GameStructure:
 
     def __post_init__(self) -> None:
         if not self.agent_names:
-            raise ValueError("a game needs at least one agent")
+            raise NameFault("a game needs at least one agent", "agents")
         if not self.state_names:
-            raise ValueError("a game needs at least one state")
+            raise NameFault("a game needs at least one state", "states")
         if getattr(_interning, "active", False):
             return
         k = len(self.agent_names)
@@ -326,66 +338,54 @@ def build_game(
     """Intern a name-level description into a dense GameStructure.
 
     The one constructor from names: the random generator and the game-file
-    binder (which, when this refuses a file's rows, finds the fault's source
-    line) both call it, and ``game_names`` is its inverse.  Ids follow
+    binder both call it, and ``game_names`` is its inverse.  Ids follow
     declaration order, the order ``render_game`` writes: capacities by first
     appearance walking ``agents`` and each one's capacities, actions walking
     those capacities and each one's actions, props walking ``states`` and
     each one's labels; the reserved always-true atom is appended and applied
     to every state.
 
-    Raises ``ValueError`` naming what it would otherwise drop, merge or
-    look up in vain: a name declared twice in ``agents`` or ``states``, a row
-    keyed by a name not declared, a name listed twice in one row, a protocol
-    or transitions row or ``init`` naming an undeclared state or action, or
-    a joint action whose arity is not the number of agents.  So every id it
-    interns is in range, and the structure does not check them again.
+    Raises ``NameFault``, the first in ``_refusal``'s order, for what it
+    would otherwise drop, merge or look up in vain: a name declared twice in
+    ``agents`` or ``states``, no agent or state, a row keyed by a name not
+    declared, a reserved proposition, a name listed twice in one row, a
+    protocol or transitions row or ``init`` naming an undeclared state or
+    action, or a joint action whose arity is not the number of agents.  So
+    every id it interns is in range, and the structure does not check them
+    again; and the game-file binder only finds the line the fault names.
     """
+    # Each check below fails as a lookup in vain does, with a ``KeyError``;
+    # only then does ``_refusal`` walk the rows, to name the first fault.
     agent_index, state_index = _index(agents), _index(states)
-    for what, names, index in (
-        ("agent", agents, agent_index),
-        ("state", states, state_index),
-    ):
-        if len(index) < len(names):
-            raise ValueError(f"duplicate {what} {_repeated(names)!r}")
-    cap_index, big_gamma = _intern(
-        "capacities", capacities, agent_index, "agent", "capacity"
-    )
-    act_index, gamma = _intern("actions", actions, cap_index, "capacity", "action")
-    prop_index, label_ids = _intern(
-        "labels", labels, state_index, "state", "proposition"
-    )
-    if not prop_index.keys().isdisjoint(RESERVED_PROPS):
-        reserved = next(p for p in prop_index if p in RESERVED_PROPS)
-        raise ValueError(f"proposition name {reserved!r} is reserved")
-    prop_index[TRUE_PROP] = len(prop_index)
-    true = frozenset((prop_index[TRUE_PROP],))
-    label_sets = [ids | true for ids in label_ids]
-    cells = list(itertools.product(agents, states))
-    if not protocol.keys() <= set(cells):
-        key = next(key for key in protocol if key not in cells)
-        raise ValueError(f"protocol for undeclared (agent, state) {key!r}")
-    cell_sets = _id_sets(
-        act_index, [protocol.get(cell, ()) for cell in cells], "action", cells
-    )
-    n = len(states)
-    proto = [tuple(cell_sets[i : i + n]) for i in range(0, len(cell_sets), n)]
-    for row in transitions:
-        if len(row[1]) != len(agents):
-            raise ValueError(
-                f"transitions row {row!r}: joint action arity must equal the "
-                "number of agents"
-            )
-    act_id = act_index.__getitem__
     try:
+        if len(agent_index) < len(agents) or len(state_index) < len(states):
+            raise KeyError
+        cap_index, big_gamma = _intern(capacities, agent_index)
+        act_index, gamma = _intern(actions, cap_index)
+        prop_index, label_ids = _intern(labels, state_index)
+        if not prop_index.keys().isdisjoint(RESERVED_PROPS):
+            raise KeyError
+        cells = list(itertools.product(agents, states))
+        if not protocol.keys() <= set(cells):
+            raise KeyError
+        cell_sets = _id_sets(act_index, [protocol.get(cell, ()) for cell in cells])
+        for row in transitions:
+            if len(row[1]) != len(agents):
+                raise KeyError
+        act_id = act_index.__getitem__
         trans = {
             (state_index[q], tuple(map(act_id, joint))): state_index[target]
             for (q, joint), target in transitions.items()
         }
+        init_state = None if init is None else state_index[init]
     except KeyError:
-        raise _undeclared(transitions, state_index, act_index) from None
-    if init is not None and init not in state_index:
-        raise ValueError(f"init names undeclared state {init!r}")
+        raise _refusal(
+            agents, capacities, actions, states, labels, protocol, transitions, init
+        ) from None
+    prop_index[TRUE_PROP] = len(prop_index)
+    true = frozenset((prop_index[TRUE_PROP],))
+    n = len(states)
+    proto = [tuple(cell_sets[i : i + n]) for i in range(0, len(cell_sets), n)]
     _interning.active = True
     try:
         return GameStructure(
@@ -395,12 +395,12 @@ def build_game(
             state_names=tuple(states),
             prop_names=tuple(prop_index),
             action_names=tuple(act_index),
-            labels=tuple(label_sets),
+            labels=tuple(ids | true for ids in label_ids),
             agent_capacities=tuple(big_gamma),
             capacity_actions=tuple(gamma),
             protocols=tuple(proto),
             transitions=trans,
-            init_state=None if init is None else state_index[init],
+            init_state=init_state,
         )
     finally:
         _interning.active = False
@@ -411,60 +411,98 @@ def _index(names) -> dict[str, int]:
     return {name: i for i, name in enumerate(dict.fromkeys(names))}
 
 
-def _repeated(names: list[str]) -> str:
-    """The first name listed a second time."""
-    return next(n for i, n in enumerate(names) if n in names[:i])
-
-
 def _intern(
-    section: str, rows: dict, keys: dict[str, int], key_kind: str, what: str
+    rows: dict, keys: dict[str, int]
 ) -> tuple[dict[str, int], list[frozenset[int]]]:
-    """The ids of the names ``section``'s rows list, in the order they first
-    appear walking ``keys``, and each key's row as a set of those ids.  Every
-    row is keyed by one of ``keys``."""
+    """The ids of the names ``rows`` list, in the order they first appear
+    walking ``keys``, and each key's row as a set of those ids.  Every row is
+    keyed by one of ``keys``."""
     if not rows.keys() <= keys.keys():
-        key = next(key for key in rows if key not in keys)
-        raise ValueError(f"{section} for undeclared {key_kind} {key!r}")
+        raise KeyError
     lists = [rows.get(key, ()) for key in keys]
     index = _index(itertools.chain.from_iterable(lists))
-    return index, _id_sets(index, lists, what)
+    return index, _id_sets(index, lists)
 
 
-def _undeclared(transitions: dict, states: dict, actions: dict) -> ValueError:
-    """The error naming the first transitions row that names an undeclared
-    state or action, and the first such name in reading order."""
-    for row, target in transitions.items():
-        q, joint = row
-        for what, name, known in (
-            ("state", q, states),
-            *(("action", x, actions) for x in joint),
-            ("state", target, states),
-        ):
-            if name not in known:
-                return ValueError(
-                    f"transitions row {row!r} names undeclared {what} {name!r}"
-                )
-    raise AssertionError("no transitions row names an undeclared name")
-
-
-def _id_sets(
-    index: dict[str, int], rows: list, what: str, keys: list | None = None
-) -> list[frozenset[int]]:
-    """The ids of each row's names, no row listing a name twice.  Only a
-    protocol row, keyed by its entry of ``keys``, may name what no other
-    row declared."""
-    try:
-        sets = [frozenset(map(index.__getitem__, row)) for row in rows]
-    except KeyError as err:
-        (missing,) = err.args
-        key = next(key for key, row in zip(keys, rows) if missing in row)
-        raise ValueError(
-            f"protocol row {key!r} names undeclared {what} {missing!r}"
-        ) from None
+def _id_sets(index: dict[str, int], rows: list) -> list[frozenset[int]]:
+    """The ids of each row's names, no row listing a name twice."""
+    sets = [frozenset(map(index.__getitem__, row)) for row in rows]
     if list(map(len, sets)) != list(map(len, rows)):
-        row = next(row for row, ids in zip(rows, sets) if len(ids) < len(row))
-        raise ValueError(f"duplicate {what} {_repeated(row)!r}")
+        raise KeyError
     return sets
+
+
+def _refusal(
+    agents, capacities, actions, states, labels, protocol, transitions, init
+) -> NameFault:
+    """The first fault of ``build_game``'s arguments, in a fixed order: a
+    name declared twice in ``agents``, then in ``states``; no agent, then no
+    state; then the rows of ``capacities``, ``actions``, ``labels``,
+    ``protocol`` and ``transitions``, each section's in its own order; then
+    ``init``.  Within a row: a keyed row's key, a reserved name, a name
+    listed twice; a protocol row's agent, state, actions, an action listed
+    twice; a transition's source, target, arity, actions."""
+    for what, names in (("agent", agents), ("state", states)):
+        if len(set(names)) < len(names):
+            return _twice(f"{what}s", None, names, what)
+    for what, names in (("agent", agents), ("state", states)):
+        if not names:
+            return NameFault(f"a game needs at least one {what}", f"{what}s")
+    agents, states = set(agents), set(states)
+    caps, acts = (set(itertools.chain(*r.values())) for r in (capacities, actions))
+    for section, rows, keys, kind, what in (
+        ("capacities", capacities, agents, "agent", "capacity"),
+        ("actions", actions, caps, "capacity", "action"),
+        ("labels", labels, states, "state", "proposition"),
+    ):
+        reserved = RESERVED_PROPS if section == "labels" else ()
+        for key, names in rows.items():
+            if key not in keys:
+                message = f"{section} for undeclared {kind} {key!r}"
+                return _undeclared(section, key, key, kind, message)
+            for name in names:
+                if name in reserved:
+                    message = f"proposition name {name!r} is reserved"
+                    return NameFault(message, section, key, name)
+            if len(set(names)) < len(names):
+                return _twice(section, key, names, what)
+    for key, names in protocol.items():
+        for name, kind, known in zip(key, ("agent", "state"), (agents, states)):
+            if name not in known:
+                message = f"protocol for undeclared (agent, state) {key!r}"
+                return _undeclared("protocol", key, name, kind, message)
+        for name in names:
+            if name not in acts:
+                return _undeclared("protocol", key, name, "action")
+        if len(set(names)) < len(names):
+            return _twice("protocol", key, names, "action")
+    for key, target in transitions.items():
+        for name in (key[0], target):
+            if name not in states:
+                return _undeclared("transitions", key, name, "state")
+        if len(key[1]) != len(agents):
+            message = f"transitions row {key!r}: joint action arity must equal the"
+            return NameFault(f"{message} number of agents", "transitions", key)
+        for name in key[1]:
+            if name not in acts:
+                return _undeclared("transitions", key, name, "action")
+    if init is not None and init not in states:
+        message = f"init names undeclared state {init!r}"
+        return _undeclared("init", None, init, "init state", message)
+    raise AssertionError("build_game refused arguments that have no fault")
+
+
+def _undeclared(section: str, key, name: str, kind: str, message="") -> NameFault:
+    """The fault of ``name``, which the row keyed ``key`` gives as a ``kind``
+    but nothing declares."""
+    message = message or f"{section} row {key!r} names undeclared {kind} {name!r}"
+    return NameFault(message, section, key, name, kind)
+
+
+def _twice(section: str, key, names: list[str], what: str) -> NameFault:
+    """The fault of ``names`` listing a name twice, the first such name."""
+    name = next(n for i, n in enumerate(names) if n in names[:i])
+    return NameFault(f"duplicate {what} {name!r}", section, key, name)
 
 
 def game_names(game: GameStructure) -> dict:

@@ -54,6 +54,11 @@ def load_game_file(name: str) -> GameStructure:
     return load_game((GAMES_DIR / f"{name}.game").read_text(encoding="utf-8"))
 
 
+def compared(game: GameStructure) -> dict:
+    """The fields ``GameStructure`` compares, ids included."""
+    return {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.compare}
+
+
 def path_of(game: GameStructure, *alternating: str) -> Path:
     """Build a path from alternating state names and action-name tuples.
 

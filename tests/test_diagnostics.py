@@ -127,8 +127,13 @@ GAME_CASES = [
 
 
 # Two faults in one file: the one reported is the first in the loader's
-# order: parsing before binding, then sections in declaration order, and the
-# first faulty row within a section.
+# order: parsing before binding; then the sections in a fixed order, whatever
+# order the file lists them in: agents, states (names declared twice, then an
+# empty section), capacities, actions, labels, protocol, transitions, init;
+# the first faulty row within a section; and within a row, a keyed row's key,
+# then a reserved name, then a name listed twice; a protocol row's agent,
+# state, actions, then an action listed twice; a transition's source, target,
+# arity, then actions.
 TWO_FAULT_CASES = [
     ("unknown-agent-and-duplicate-transition", {5: "  b: c", 16: "  s (x) -> s\n  s (x) -> s"}, 5, "unknown agent 'b'"),
     ("reserved-label-and-duplicate-labels-row", {12: "  s: true\n  s: p"}, 12, "proposition name 'true' is reserved"),
@@ -136,6 +141,14 @@ TWO_FAULT_CASES = [
     ("unknown-capacity-and-duplicate-actions-row", {7: "  d: x\n  c: x\n  c: x"}, 7, "unknown capacity 'd'"),
     ("bind-fault-and-later-parse-fault", {5: "  b: c", 16: "  s x -> s"}, 16, "expected '<state> (act, ...) -> <state>', got 's x -> s'"),
     ("unknown-label-state-and-unknown-protocol-action", {12: "  t: p", 14: "  a @ s: y"}, 12, "unknown state 't'"),
+    ("unknown-transition-action-and-target", {16: "  s (y) -> t"}, 16, "unknown state 't'"),
+    ("unknown-transition-source-and-arity", {16: "  t (x, x) -> s"}, 16, "unknown state 't'"),
+    ("capacity-twice-and-unknown-agent", {5: "  a: c, c\n  b: d"}, 5, "duplicate capacity 'c'"),
+    ("label-twice-and-reserved", {12: "  s: p, p, true"}, 12, "proposition name 'true' is reserved"),
+    ("unknown-protocol-state-and-action", {14: "  a @ t: y"}, 14, "unknown state 't'"),
+    ("protocol-action-twice-and-unknown", {14: "  a @ s: x, x, y"}, 14, "unknown action 'y'"),
+    # A repeated transition's target is read before the repeat.
+    ("duplicate-transition-with-unknown-target", {16: "  s (x) -> s\n  s (x) -> t"}, 17, "unknown state 't'"),
 ]
 
 

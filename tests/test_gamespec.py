@@ -11,7 +11,7 @@ from upatl.gamespec import (
 from upatl.model import GameStructure, validate_structure
 from upatl.oracle import GeneratorParams, generate_random_game
 
-from helpers import GAMES_DIR, load_game_file
+from helpers import GAMES_DIR, compared, load_game_file
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,24 @@ class TestRowGrammar:
             ["p", "true"],
             ["q", "true"],
         ]
+        # Here ``init`` keys a row in every keyed section, and ``game`` starts
+        # a transitions row.  ``fmt`` writes such rows as they are written
+        # here (``init :``, ``game@``, ``game(``), so its text reloads.
+        other = (
+            "game g\nagents:\n  init, a\ncapacities:\n  init : init\n  a: c\n"
+            "actions:\n  init : x\n  c: x, y\nstates:\n  game, init\n"
+            "labels:\n  init : p\n  game: q\nprotocol:\n"
+            "  init @ game: x\n  init @ init: x\n  a @ game: x, y\n  a @ init: x\n"
+            "transitions:\n  game(x, x) -> init\n  game(x, y) -> game\n"
+            "  init (x, x) -> game\n"
+        )
+        texts = [render_game(game), render_game(load_game(other))]
+        assert "\n  game@init: x\n" in texts[0] and "\n  init : p\n" in texts[0]
+        assert "\n  init : init\n" in texts[1] and "\n  init : x\n" in texts[1]
+        assert "\n  game(x, y) -> game\n" in texts[1]
+        for game, text in zip((game, load_game(other)), texts):
+            assert compared(load_game(text)) == compared(game)
+            assert render_game(load_game(text)) == text
 
 
 class TestRoundTrip:
@@ -394,3 +412,47 @@ def test_fmt_is_a_fixed_point_on_shuffled_sections(
     once = render_game(shuffled)
     assert render_game(load_game(once)) == once
     assert canonical_form(shuffled) == canonical_form(game)
+
+
+# The example games' texts, and what a mutation may insert into them: names,
+# the keywords of the format, separators and line ends.
+EXAMPLE_TEXTS = [
+    (GAMES_DIR / f"{name}.game").read_text(encoding="utf-8")
+    for name in ("hand", "hand_mix")
+]
+_PIECES = st.sampled_from(
+    ["obs", "opp", "s0", "s3", "watch", "serve", "lefty", "zz", "true", "K",
+     "game", "game ", "init", "init:", "labels", "states:", "x",
+     ",", ":", "@", "(", ")", "->", " ", "\t", "\n", "#"]
+)
+
+
+@st.composite
+def mutated_examples(draw) -> str:
+    """An example game's text after one to three insertions, deletions of
+    a span, or duplicated lines."""
+    text = draw(st.sampled_from(EXAMPLE_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            text = text[:at] + draw(_PIECES) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 12)) :]
+        else:
+            lines = text.split("\n")
+            line = lines[at % len(lines)]
+            lines.insert(at % len(lines), line)
+            text = "\n".join(lines)
+    return text
+
+
+@given(text=mutated_examples())
+@settings(max_examples=1000, deadline=None)
+def test_mutated_examples_load_or_raise_a_diagnostic(text):
+    # Any other exception would reach the CLI as an internal error (exit 70).
+    try:
+        game = load_game(text)
+    except GameSpecError:
+        return
+    assert compared(load_game(render_game(game))) == compared(game)

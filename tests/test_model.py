@@ -17,7 +17,7 @@ from upatl.model import (
 )
 from upatl.oracle import GeneratorParams, generate_random_game
 
-from helpers import GAMES_DIR
+from helpers import GAMES_DIR, compared
 
 
 def names(game, ids):
@@ -405,11 +405,6 @@ SHAPES = list(itertools.product(range(1, 6), range(1, 4), range(1, 3), range(1, 
 GAME_FILES = sorted(GAMES_DIR.glob("*.game")) + sorted(
     (GAMES_DIR.parent / "bench" / "games").glob("*.game")
 )
-
-
-def compared(game):
-    """The fields ``GameStructure`` compares, ids included."""
-    return {f.name: getattr(game, f.name) for f in dataclasses.fields(game) if f.compare}
 
 
 def generated(index, shape):
