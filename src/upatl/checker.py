@@ -76,8 +76,12 @@ set).  A node's expansion under a choice, its children grouped by target,
 depends on neither the steps left nor the leaf rule, so expansions are
 memoized on (branch set, choice) alone and shared by both rank passes and the
 witness walk; once a goal nests ``<<...>>``, they hold its verdicts at the
-evaluator's horizon.  Every memo belongs to one ``Evaluator``, made per
-top-level call; nothing outlives it.
+evaluator's horizon.  Both are keyed by the operator's value, its coalition
+and goal (frozen dataclasses), so equal operators share one search and a key
+stays valid after its node is freed.  Every memo belongs to one
+``Evaluator``, made per call unless the context shares one; a shared one
+answers questions on its game and horizon, about the ``K[...]`` agents it
+tracks, nested no deeper than its own formula.
 """
 
 from __future__ import annotations
@@ -139,7 +143,8 @@ class EvalContext:
     extension steps each strategic operator may explore.  ``evaluator``, if
     set, holds the memos that calls with this context share (the CLI shares
     one between a verdict and its certificate); without it, every call makes
-    its own.
+    its own.  A shared one answers questions on its game and horizon, about
+    the ``K[...]`` agents it tracks, nested no deeper than its own formula.
     """
 
     game: GameStructure
@@ -277,16 +282,17 @@ class _State:
 
 
 class Evaluator:
-    """The memos of one top-level call: abstract states, and the ranks and
-    node expansions of each strategic operator's search (keyed by the
-    identity of its goal node).
+    """The memos of the questions asked on one game at one horizon: abstract
+    states, and the ranks and node expansions of each strategic operator's
+    search, keyed by the operator's coalition and goal.
 
-    ``formula`` must contain every formula evaluated with this evaluator: its
-    ``K[...]`` agents are the ones whose belief sets the states carry, and
-    holding it keeps the node identities in the memo keys valid.  The memos
-    hold no reference back to the evaluator, so that it is freed as soon as
-    its call ends, without waiting for the cycle collector.  Every search
-    runs inside an evaluator, so this is where ``SearchDepthError`` is raised.
+    The states carry a belief set for each ``K[...]`` agent of ``formula``;
+    asked about another agent's knowledge, ``value`` raises ``ValueError``.
+    Every search runs inside an evaluator, so this is where
+    ``SearchDepthError`` is raised, for ``formula``'s nesting; a question
+    nested deeper is not checked, which would cost a walk per question.  The
+    memos hold no reference back to the evaluator, so that it is freed as
+    soon as its last call ends, without waiting for the cycle collector.
     """
 
     def __init__(self, game: GameStructure, horizon: int, formula) -> None:
@@ -299,13 +305,12 @@ class Evaluator:
             )
         self.game = game
         self.horizon = horizon
-        self.formula = formula
         self.knowers = tuple(
             sorted({g.agent for g, _ in nodes if isinstance(g, fm.Know)})
         )
         self.interned: dict[tuple, _State] = {}
-        self.ranks: dict[tuple, dict] = {}  # by (coalition, id(goal))
-        self.expansions: dict[tuple, dict] = {}  # by (coalition, id(goal))
+        self.ranks: dict[tuple, dict] = {}  # by (coalition, goal)
+        self.expansions: dict[tuple, dict] = {}  # by (coalition, goal)
 
     def _intern(self, q: StateId, caps: Caps, beliefs: tuple) -> _State:
         key = (q, caps, beliefs)
@@ -350,6 +355,9 @@ class Evaluator:
         if isinstance(f, fm.Atom):
             return lift(f.prop in self.game.labels[state.q])
         if isinstance(f, fm.Know):
+            if f.agent not in self.knowers:
+                name = self.game.agent_names[f.agent]
+                raise ValueError(f"the evaluator keeps no beliefs of agent {name!r}")
             belief = state.beliefs[self.knowers.index(f.agent)]
             return lift(
                 all(
@@ -399,19 +407,6 @@ class Evaluator:
         a = or3(a, and3(b, self.value(goal.left, state)))
         return _WON if a is Verdict.TRUE else (a, b)
 
-    def outcome_verdict(
-        self, goal: fm.TemporalFormula, outcome: Path, index: int
-    ) -> Verdict:
-        """The goal on ``outcome`` from position ``index`` to its last."""
-        state = self.fold(outcome, index)
-        progress = self.begin(goal, state)
-        for joint, target in zip(
-            outcome.actions[index - 1 :], outcome.states[index:]
-        ):
-            state = self.step(state, (joint, self.game.licensing(joint), target))
-            progress = self.advance(goal, progress, state)
-        return _final(progress)
-
 
 def _evaluator(ctx: EvalContext, formula) -> Evaluator:
     """The context's evaluator, or a fresh one for this call."""
@@ -450,7 +445,13 @@ def eval_temporal(
     """
     if len(outcome.states) != ctx.index + ctx.horizon:
         raise ValueError("outcome does not match the horizon")
-    return _evaluator(ctx, goal).outcome_verdict(goal, outcome, ctx.index)
+    evaluator, index = _evaluator(ctx, goal), ctx.index
+    state = evaluator.fold(outcome, index)
+    progress = evaluator.begin(goal, state)
+    for joint, target in zip(outcome.actions[index - 1 :], outcome.states[index:]):
+        state = evaluator.step(state, (joint, ctx.game.licensing(joint), target))
+        progress = evaluator.advance(goal, progress, state)
+    return _final(progress)
 
 
 # -- strategic operator -------------------------------------------------------
@@ -498,8 +499,8 @@ class _Search:
     and its branches matter, the (abstract state, progress) pairs of the
     outcome prefixes that reach it.  The coalition fixes one choice per node,
     and a choice leads to one child node per target state of the surviving
-    branches.  The memos live in the evaluator, shared by every search of the
-    same operator.
+    branches.  The memos live in the evaluator, shared by every search of an
+    equal operator.
     """
 
     def __init__(
@@ -513,7 +514,7 @@ class _Search:
         self.members = tuple(sorted(coalition))
         self.horizon = evaluator.horizon
         self.safe_caps = unprunable_capacities(evaluator.game, coalition)
-        key = (coalition, id(goal))
+        key = (coalition, goal)
         self.ranks = evaluator.ranks.setdefault(key, {})  # (leaf, left, branches)
         self.expansions = evaluator.expansions.setdefault(key, {})  # (branches, choice)
 
@@ -525,7 +526,25 @@ class _Search:
         return frozenset([(state, self.evaluator.begin(self.goal, state))])
 
     def verdict(self, state: _State) -> Verdict:
-        """The operator's verdict at a prefix; see ``eval_strategic``."""
+        """The operator's verdict at a prefix: existential over strategy
+        trees, universal over surviving outcomes.
+
+        TRUE iff some depth-``horizon`` tree has a nonempty outcome set with
+        the goal TRUE on every outcome.  FALSE requires every tree to be
+        falsified in a way deeper play cannot repair: its outcome set is
+        empty, or every outcome is FALSE (survivors of any extension still
+        extend FALSE outcomes), or some FALSE outcome admits a compatible
+        assignment the coalition can never play away from.  A tree whose only
+        FALSE outcomes are prunable may be rescued at a larger horizon by
+        making those branches capacity-incompatible, so it yields UNKNOWN
+        instead; this keeps TRUE and FALSE sound for the unbounded semantics
+        and monotone in the horizon.
+
+        Each question is one rank search, with the leaf rule ``won`` or
+        ``unfalsified``.  Decisions at distinct histories are independent, so
+        a tree whose leaves all rank at least 1 and one ranks 2 exists iff the
+        root ranks 2.
+        """
         start = self.start(state)
         if not start:
             return Verdict.FALSE
@@ -723,36 +742,6 @@ class _Search:
                 if found is not None:
                     return (target,) + found[0], (joint,) + found[1]
         return None
-
-
-def eval_strategic(
-    ctx: EvalContext,
-    coalition: frozenset[AgentId],
-    goal: fm.TemporalFormula,
-) -> Verdict:
-    """Existential over strategy trees, universal over surviving outcomes.
-
-    TRUE iff some depth-``horizon`` tree has a nonempty outcome set with the
-    goal TRUE on every outcome.  FALSE requires every tree to be falsified in
-    a way deeper play cannot repair: its outcome set is empty, or every
-    outcome is FALSE (survivors of any extension still extend FALSE
-    outcomes), or some FALSE outcome admits a compatible assignment the
-    coalition can never play away from.  A tree whose only FALSE outcomes are
-    prunable may be rescued at a larger horizon by making those branches
-    capacity-incompatible, so it yields UNKNOWN instead; this keeps TRUE and
-    FALSE sound for the unbounded semantics and monotone in the horizon.
-
-    Both questions are one rank search with different leaf rules.  A tree
-    wins iff every leaf ranks at least 1 under ``won`` and some leaf ranks 2
-    (every outcome TRUE, and at least one outcome).  A tree escapes
-    falsification iff the same holds under ``unfalsified`` (no unprunable
-    FALSE outcome, and some outcome not FALSE).  Decisions at distinct
-    histories are independent, so a tree with that property exists iff the
-    root ranks 2, where a node takes the best choice and a choice needs all
-    of its children at least 1 and one of them at 2.
-    """
-    search, state = _strategic(ctx, coalition, goal)
-    return search.verdict(state)
 
 
 def _strategic(

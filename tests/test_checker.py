@@ -17,7 +17,6 @@ from upatl.checker import (
     eval_cap_formula,
     eval_knowledge,
     eval_path_formula,
-    eval_strategic,
     eval_temporal,
     find_falsifying_pair,
     find_winning_strategy,
@@ -282,7 +281,7 @@ class TestStrategic:
         ctx = ctx_at(game, path_of(game, "s0"), horizon=horizon)
 
         def certificate():
-            if eval_strategic(ctx, f.coalition, f.goal) is T:
+            if eval_path_formula(ctx, f) is T:
                 return find_winning_strategy(ctx, f.coalition, f.goal)
             return find_falsifying_pair(ctx, f.coalition, f.goal)[0]
 
@@ -318,7 +317,7 @@ class TestStrategic:
                         if got is not None:
                             assert got.decisions == want.decisions
                             witnesses += 1
-                        if eval_strategic(ctx, f.coalition, f.goal) is not F:
+                        if eval_path_formula(ctx, f) is not F:
                             continue
                         # The falsifier: the first tree, and its first FALSE
                         # outcome in action order.
@@ -342,7 +341,7 @@ class TestStrategic:
     def test_falsifying_pair_on_false_verdict(self, g_hand):
         f = parse_formula("<<opp>> N (leftHit & rightHit)", g_hand)
         ctx = ctx_at(g_hand, path_of(g_hand, "s0"), horizon=1)
-        assert eval_strategic(ctx, f.coalition, f.goal) is F
+        assert eval_path_formula(ctx, f) is F
         tree, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
         assert outcome is not None
         base = ctx_at(g_hand, path_of(g_hand, "s0"), horizon=1)
@@ -467,7 +466,7 @@ class TestFalsifier:
             f = parse_formula(text, g_mix)
             for horizon in (0, 1, 3):
                 ctx = ctx_at(g_mix, rho, index=3, horizon=horizon)
-                assert eval_strategic(ctx, f.coalition, f.goal) is F
+                assert eval_path_formula(ctx, f) is F
                 tree, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
                 assert outcome is None
                 assert self.reference_outcome(ctx, f.goal, tree) is None
@@ -494,7 +493,7 @@ class TestFalsifier:
         ]:
             f = parse_formula(text, game)
             ctx = ctx_at(game, path_of(game, "s0"), horizon=horizon)
-            assert eval_strategic(ctx, f.coalition, f.goal) is F
+            assert eval_path_formula(ctx, f) is F
             _, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
             assert outcome is not None
             assert eval_temporal(ctx, f.goal, outcome) is F
@@ -545,12 +544,12 @@ class TestCheckState:
         goal = parse_formula(f"<<opp>> G ({text})", g_mix).goal
         serve = path_of(g_mix, "s0", ("watch", "serve"), "s0").actions
         ctx = ctx_at(g_mix, Path((0,)), horizon=at)
-        assert eval_strategic(ctx, f.coalition, f.goal) is U
+        assert eval_path_formula(ctx, f) is U
         assert eval_temporal(ctx, goal, Path((0,) * (at + 1), serve * at)) is U
         ctx = ctx_at(g_mix, Path((0,)), horizon=at + 1)
         outcome = Path((0,) * (at + 2), serve * (at + 1))
         for call in (
-            lambda: eval_strategic(ctx, f.coalition, f.goal),
+            lambda: eval_path_formula(ctx, f),
             lambda: find_winning_strategy(ctx, f.coalition, f.goal),
             lambda: find_falsifying_pair(ctx, f.coalition, f.goal),
             lambda: eval_temporal(ctx, goal, outcome),

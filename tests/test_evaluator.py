@@ -26,6 +26,7 @@ from upatl.checker import (
     eval_knowledge,
     eval_path_formula,
     eval_temporal,
+    find_falsifying_pair,
     find_winning_strategy,
 )
 from upatl.model import build_game
@@ -199,7 +200,7 @@ def test_witness_walk_reuses_the_verdicts_ranks(g_mix, text, k):
         g_mix, all_paths(g_mix, 0, 0)[0], 1, canonical_assignment(g_mix), k, evaluator
     )
     assert eval_path_formula(ctx, f) is Verdict.TRUE
-    ranks = evaluator.ranks[f.coalition, id(f.goal)]
+    ranks = evaluator.ranks[f.coalition, f.goal]
     known = len(ranks)
     shared = find_winning_strategy(ctx, f.coalition, f.goal)
     assert len(ranks) == known  # every rank the walk read was the verdict's
@@ -207,6 +208,30 @@ def test_witness_walk_reuses_the_verdicts_ranks(g_mix, text, k):
         EvalContext(g_mix, ctx.path, 1, ctx.assignment, k), f.coalition, f.goal
     )
     assert shared.decisions == fresh.decisions
+
+
+def test_equal_operators_share_one_search(g_mix):
+    # The memos are keyed by the operator's value, not by its node, so the
+    # second copy reads the ranks the first one wrote.
+    f = parse_formula("(<<opp>> F leftHit) & <<opp>> F leftHit", g_mix)
+    assert f.left == f.right and f.left is not f.right
+    evaluator = Evaluator(g_mix, 4, f)
+    ctx = EvalContext(
+        g_mix, all_paths(g_mix, 0, 0)[0], 1, canonical_assignment(g_mix), 4, evaluator
+    )
+    one = parse_formula("<<opp>> F leftHit", g_mix)
+    assert eval_path_formula(ctx, f) is check_state(g_mix, 0, one, 4)
+    assert list(evaluator.ranks) == [(one.coalition, one.goal)]
+
+
+def test_a_shared_evaluator_names_an_agent_whose_beliefs_it_does_not_keep(g_hand):
+    evaluator = Evaluator(g_hand, 2, parse_formula("<<obs>> F true", g_hand))
+    ctx = EvalContext(
+        g_hand, all_paths(g_hand, 0, 0)[0], 1, canonical_assignment(g_hand), 2, evaluator
+    )
+    f = parse_formula("<<obs>> F K[opp](obs=normal)", g_hand)
+    with pytest.raises(ValueError, match="keeps no beliefs of agent 'opp'"):
+        eval_path_formula(ctx, f)
 
 
 @pytest.mark.parametrize(
@@ -357,3 +382,30 @@ def test_alternating_games_in_one_process_match_fresh_processes(tmp_path, capsys
             for game in (plain, str(relabelled)):
                 code = cli.main(argv(game, formula, k))
                 assert (code, record(capsys.readouterr().out)) == fresh[game, formula]
+
+
+def test_a_shared_evaluator_answers_new_operators_as_a_fresh_context(g_hand):
+    # Each operator is built, asked and dropped before the next one, so a
+    # new goal may take a freed goal's address: memos keyed by identity
+    # would hand it the other goal's ranks.
+    k = 3
+    obs = frozenset({g_hand.agent_names.index("obs")})
+    start = g_hand.prop_names.index("start")
+    path, lam = all_paths(g_hand, 0, 0)[0], canonical_assignment(g_hand)
+    evaluator = Evaluator(g_hand, k, parse_formula("<<obs>> F true", g_hand))
+    shared = EvalContext(g_hand, path, 1, lam, k, evaluator)
+    fresh = EvalContext(g_hand, path, 1, lam, k)
+
+    def certificates(ctx, f):
+        witness = find_winning_strategy(ctx, f.coalition, f.goal)
+        tree, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
+        return witness and witness.decisions, tree.decisions, outcome
+
+    verdicts = []
+    for n in range(20):
+        f = Strat(obs, Next(Atom(g_hand.true_prop if n % 2 else start)))
+        verdicts.append(eval_path_formula(shared, f))
+        assert verdicts[-1] is check_state(g_hand, 0, f, k), n
+        assert certificates(shared, f) == certificates(fresh, f), n
+        del f
+    assert verdicts == [Verdict.FALSE, Verdict.TRUE] * 10
