@@ -100,6 +100,7 @@ from .trace import (
     Path,
     StrategyTree,
     check_strategy_tree,
+    validate_path,
 )
 
 
@@ -145,6 +146,8 @@ class EvalContext:
     one between a verdict and its certificate); without it, every call makes
     its own.  A shared one answers questions on its game and horizon, about
     the ``K[...]`` agents it tracks, nested no deeper than its own formula.
+    Every evaluation with a context raises ``ValueError`` if ``path`` is not
+    a play of the game.
     """
 
     game: GameStructure
@@ -194,7 +197,8 @@ def eval_knowledge(
 
     Quantifies over every path the agent cannot distinguish from the prefix
     and every capacity assignment compatible with it.  Members whose
-    compatible set is empty hold vacuously.
+    compatible set is empty hold vacuously.  Raises ``ValueError`` if
+    ``path`` is not a play of the game.
     """
     know = fm.Know(agent, body)
     evaluator = Evaluator(game, 0, know)
@@ -320,9 +324,12 @@ class Evaluator:
         return state
 
     def fold(self, path: Path, index: int) -> _State:
-        """The abstract state of ``path.prefix(index)``."""
+        """The abstract state of ``path.prefix(index)``.  Raises
+        ``ValueError`` if the path is not a play of the game."""
         if not 1 <= index <= len(path.states):
             raise ValueError("index out of range for the path")
+        if not validate_path(self.game, path):
+            raise ValueError("path is not a play of the game")
         caps = self.game.agent_capacities
         whole = frozenset([caps]) if all(caps) else frozenset()
         state = self._intern(path.states[0], caps, (whole,) * len(self.knowers))
@@ -441,7 +448,8 @@ def eval_temporal(
     beyond contributes UNKNOWN, which the strong-Kleene unrolling propagates:
     an until that found no witness and never failed stays undecided, and a
     release that was maintained to the bound without being released stays
-    undecided.
+    undecided.  Raises ``ValueError`` if ``outcome`` is not a play of the
+    game.
     """
     if len(outcome.states) != ctx.index + ctx.horizon:
         raise ValueError("outcome does not match the horizon")

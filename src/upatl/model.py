@@ -7,13 +7,15 @@ at least one move (the progression condition).  Under that condition play can
 never deadlock, whichever capacities the agents secretly hold.
 
 All identifiers are interned to dense integer indices; the name tables are
-kept only for diagnostics and serialization.
+kept only for diagnostics and serialization.  There is one construction path:
+every ``GameStructure``, whether ``build_game`` interned it, it was constructed
+directly or ``dataclasses.replace`` made it, checks the shapes and id ranges
+of its own fields.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 AgentId = int
@@ -35,11 +37,6 @@ TRUE_PROP = "true"
 KEYWORDS_TEMPORAL = ("N", "U", "R", "F", "G")
 RESERVED_PROPS = ("true", "false", "K") + KEYWORDS_TEMPORAL
 
-
-# Set while ``build_game`` constructs a structure: every id it interned is in
-# range by construction, so ``GameStructure`` does not walk them again.  A
-# direct construction or a ``dataclasses.replace`` checks every field.
-_interning = threading.local()
 
 # Violation kinds produced by validate_structure.
 EMPTY_CAPACITIES = "empty-capacities"
@@ -80,9 +77,8 @@ class GameStructure:
 
     Immutable after construction; safe to share across concurrent evaluators.
     ``validate_structure`` checks the semantic invariants (the constructor
-    only checks shapes and index ranges, so partially written inputs can
-    still be diagnosed; for a structure ``build_game`` interned, only that
-    there is an agent and a state).
+    only checks shapes and index ranges, the same for every caller, so
+    partially written inputs can still be diagnosed).
     """
 
     name: str
@@ -110,51 +106,46 @@ class GameStructure:
             raise NameFault("a game needs at least one agent", "agents")
         if not self.state_names:
             raise NameFault("a game needs at least one state", "states")
-        if getattr(_interning, "active", False):
-            return
+        flat = itertools.chain.from_iterable
         k = len(self.agent_names)
-        n_caps = len(self.capacity_names)
-        n_states = len(self.state_names)
-        n_props = len(self.prop_names)
-        n_acts = len(self.action_names)
+        states = set(range(len(self.state_names)))
+        actions = set(range(len(self.action_names)))
         if TRUE_PROP not in self.prop_names:
             raise ValueError(f"reserved proposition {TRUE_PROP!r} missing")
         true_id = self.prop_names.index(TRUE_PROP)
-        if len(self.labels) != n_states:
+        if len(self.labels) != len(states):
             raise ValueError("labels must cover every state")
-        for q, props in enumerate(self.labels):
-            if any(p < 0 or p >= n_props for p in props):
+        props = set(range(len(self.prop_names)))
+        for q, ids in enumerate(self.labels):
+            if not props.issuperset(ids):
                 raise ValueError(f"label out of range at state {q}")
-            if true_id not in props:
+            if true_id not in ids:
                 raise ValueError(
                     f"reserved proposition must label every state, missing at {q}"
                 )
         if len(self.agent_capacities) != k:
             raise ValueError("capacity sets must cover every agent")
-        for caps in self.agent_capacities:
-            if any(c < 0 or c >= n_caps for c in caps):
-                raise ValueError("capacity id out of range")
-        if len(self.capacity_actions) != n_caps:
+        caps = set(range(len(self.capacity_names)))
+        if not caps.issuperset(flat(self.agent_capacities)):
+            raise ValueError("capacity id out of range")
+        if len(self.capacity_actions) != len(caps):
             raise ValueError("action sets must cover every capacity")
-        for acts in self.capacity_actions:
-            if any(x < 0 or x >= n_acts for x in acts):
-                raise ValueError("action id out of range")
+        if not actions.issuperset(flat(self.capacity_actions)):
+            raise ValueError("action id out of range")
         if len(self.protocols) != k:
             raise ValueError("protocols must cover every agent")
-        for row in self.protocols:
-            if len(row) != n_states:
-                raise ValueError("protocols must cover every state")
-            for acts in row:
-                if any(x < 0 or x >= n_acts for x in acts):
-                    raise ValueError("protocol action id out of range")
-        for (q, joint), target in self.transitions.items():
-            if q < 0 or q >= n_states or target < 0 or target >= n_states:
-                raise ValueError("transition state id out of range")
-            if len(joint) != k:
-                raise ValueError("joint action arity must equal agent count")
-            if any(x < 0 or x >= n_acts for x in joint):
-                raise ValueError("transition action id out of range")
-        if self.init_state is not None and not 0 <= self.init_state < n_states:
+        if any(len(row) != len(states) for row in self.protocols):
+            raise ValueError("protocols must cover every state")
+        if not actions.issuperset(flat(flat(self.protocols))):
+            raise ValueError("protocol action id out of range")
+        sources, joints = zip(*self.transitions) if self.transitions else ((), ())
+        if not states.issuperset(itertools.chain(sources, self.transitions.values())):
+            raise ValueError("transition state id out of range")
+        if not set(map(len, joints)) <= {k}:
+            raise ValueError("joint action arity must equal agent count")
+        if not actions.issuperset(flat(joints)):
+            raise ValueError("transition action id out of range")
+        if self.init_state is not None and self.init_state not in states:
             raise ValueError("init state out of range")
 
     # -- basic accessors ---------------------------------------------------
@@ -351,8 +342,8 @@ def build_game(
     declared, a reserved proposition, a name listed twice in one row, a
     protocol or transitions row or ``init`` naming an undeclared state or
     action, or a joint action whose arity is not the number of agents.  So
-    every id it interns is in range, and the structure does not check them
-    again; and the game-file binder only finds the line the fault names.
+    every id it interns is in range, and the structure's own range checks
+    pass; and the game-file binder only finds the line the fault names.
     """
     # Each check below fails as a lookup in vain does, with a ``KeyError``;
     # only then does ``_refusal`` walk the rows, to name the first fault.
@@ -386,24 +377,20 @@ def build_game(
     true = frozenset((prop_index[TRUE_PROP],))
     n = len(states)
     proto = [tuple(cell_sets[i : i + n]) for i in range(0, len(cell_sets), n)]
-    _interning.active = True
-    try:
-        return GameStructure(
-            name=name,
-            agent_names=tuple(agents),
-            capacity_names=tuple(cap_index),
-            state_names=tuple(states),
-            prop_names=tuple(prop_index),
-            action_names=tuple(act_index),
-            labels=tuple(ids | true for ids in label_ids),
-            agent_capacities=tuple(big_gamma),
-            capacity_actions=tuple(gamma),
-            protocols=tuple(proto),
-            transitions=trans,
-            init_state=init_state,
-        )
-    finally:
-        _interning.active = False
+    return GameStructure(
+        name=name,
+        agent_names=tuple(agents),
+        capacity_names=tuple(cap_index),
+        state_names=tuple(states),
+        prop_names=tuple(prop_index),
+        action_names=tuple(act_index),
+        labels=tuple(ids | true for ids in label_ids),
+        agent_capacities=tuple(big_gamma),
+        capacity_actions=tuple(gamma),
+        protocols=tuple(proto),
+        transitions=trans,
+        init_state=init_state,
+    )
 
 
 def _index(names) -> dict[str, int]:

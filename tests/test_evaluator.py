@@ -51,6 +51,7 @@ from helpers import (
     all_paths,
     first_winning_tree,
     load_game_file,
+    path_of,
     random_formula,
     reference_knowledge,
     reference_path_formula,
@@ -284,6 +285,45 @@ def test_belief_sets_leave_out_members_with_an_empty_set(g_mix, text):
     members = [m for s in evaluator.interned.values() for b in s.beliefs for m in b]
     assert members  # the check did reach belief sets
     assert all(all(member) for member in members)
+
+
+# Two paths of hand that no play follows: (watch, swingL) leads from s0 to
+# s1, not s2; and a joint action of one agent's action.
+NOT_PLAYS = {
+    "wrong-successor": ("s0", ("watch", "swingL"), "s2"),
+    "wrong-arity": ("s0", ("watch",), "s1"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_PLAYS))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "eval_path_formula",
+        "eval_knowledge",
+        "eval_temporal",
+        "find_winning_strategy",
+        "find_falsifying_pair",
+    ],
+)
+def test_every_entry_point_refuses_a_path_that_is_not_a_play(g_hand, case, entry):
+    path = path_of(g_hand, *NOT_PLAYS[case])
+    know = parse_formula("K[obs](opp=lefty)", g_hand)
+    ctx = ctx_at(g_hand, path, 2, 1)
+    opp = frozenset({g_hand.agent_names.index("opp")})
+    calls = {
+        "eval_path_formula": lambda: eval_path_formula(ctx, know),
+        "eval_knowledge": lambda: eval_knowledge(
+            g_hand, path, 2, know.agent, know.body
+        ),
+        "eval_temporal": lambda: eval_temporal(
+            ctx_at(g_hand, path.prefix(1), 1, 1), Next(know), path
+        ),
+        "find_winning_strategy": lambda: find_winning_strategy(ctx, opp, Next(know)),
+        "find_falsifying_pair": lambda: find_falsifying_pair(ctx, opp, Next(know)),
+    }
+    with pytest.raises(ValueError, match="^path is not a play of the game$"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("other", ["game", "horizon"])

@@ -2,20 +2,28 @@
 oracle, so they reach games the brute-force reference cannot.
 
 Outside the acceptance gate.  Horizon monotonicity is criterion 8 of
-``test_acceptance.py``; the laws here are declaration order and coalition
-monotonicity.
+``test_acceptance.py``; the laws here are declaration order, for verdicts
+and for certificates, and coalition monotonicity.
 """
 
 import random
 
 import pytest
 
-from upatl.checker import Verdict, check_state
+from upatl.checker import (
+    EvalContext,
+    Verdict,
+    canonical_assignment,
+    check_state,
+    find_falsifying_pair,
+    find_winning_strategy,
+)
 from upatl.formula import Strat, parse_formula, render_formula
 from upatl.model import build_game, game_names
 from upatl.oracle import GeneratorParams, formula_templates, generate_random_game
+from upatl.trace import Path, outcomes_bounded, validate_strategy_tree
 
-from helpers import load_game_file
+from helpers import load_game_file, reference_temporal
 
 HORIZONS = range(4)
 
@@ -69,7 +77,14 @@ def law_games():
 @pytest.mark.parametrize("game", law_games())
 def test_declaration_order_does_not_change_verdicts(request, game):
     """Every template's verdict at every state and horizon, matched by
-    name, is the same in the game and in a reordered copy."""
+    name, is the same in the game and in a reordered copy.  And in the copy,
+    a strategic verdict's certificate is what it claims: a TRUE verdict's
+    witness is a valid tree with outcomes, all TRUE; a FALSE verdict's tree
+    is valid, and its outcome, if it has one, is one of the tree's and FALSE.
+
+    Outcomes are judged by ``helpers.reference_temporal``, the backward
+    unrolling the evaluator replaced; it is the re-check until an
+    independent checker exists (ROADMAP item 10)."""
     other = permuted(game, random.Random(request.node.callspec.id))
     for formula in formula_templates(game):
         text = render_formula(formula, game)
@@ -79,6 +94,27 @@ def test_declaration_order_does_not_change_verdicts(request, game):
             for k in HORIZONS:
                 got = check_state(other, q2, again, k)
                 assert got == check_state(game, q, formula, k), (text, state, k)
+                if isinstance(again, Strat) and got is not Verdict.UNKNOWN:
+                    assert_certificate(other, q2, again, k, got)
+
+
+def assert_certificate(game, q, f, k, verdict):
+    ctx = EvalContext(game, Path((q,)), 1, canonical_assignment(game), k)
+    if verdict is Verdict.TRUE:
+        tree = find_winning_strategy(ctx, f.coalition, f.goal)
+        assert not validate_strategy_tree(game, tree)
+        outcomes = outcomes_bounded(game, ctx.path, tree, k)
+        assert outcomes, (f, q, k)
+        for outcome in outcomes:
+            got = reference_temporal(ctx, f.goal, outcome)
+            assert got is Verdict.TRUE, (f, q, k, outcome)
+    else:
+        tree, outcome = find_falsifying_pair(ctx, f.coalition, f.goal)
+        assert not validate_strategy_tree(game, tree)
+        if outcome is not None:
+            assert outcome in outcomes_bounded(game, ctx.path, tree, k)
+            got = reference_temporal(ctx, f.goal, outcome)
+            assert got is Verdict.FALSE, (f, q, k, outcome)
 
 
 def monotonicity_games():

@@ -170,9 +170,20 @@ def with_transition(game, key, target):
     return {**game.transitions, key: target}
 
 
+def range_cases(case, fields, table, message):
+    """The range check ``case``: ``fields(g, x)`` with ``x`` one past the
+    last id of the name table ``table``, and, as ``<case>-below``, with
+    ``x`` one below the first, -1."""
+    return {
+        case: (lambda g: fields(g, len(getattr(g, table))), message),
+        f"{case}-below": (lambda g: fields(g, -1), message),
+    }
+
+
 # One mutant of hand.game per shape or range check of the constructor: the
 # fields to replace, and the check's message.  Each mutant passes every
-# other check, so that it is rejected by its own check alone.
+# other check, so that it is rejected by its own check alone.  Each range
+# check is fed an id past either end of its range.
 MALFORMED = {
     "no-agents": (
         lambda g: {"agent_names": ()},
@@ -190,10 +201,10 @@ MALFORMED = {
         lambda g: {"labels": g.labels[:-1]},
         "labels must cover every state",
     ),
-    "label-range": (
-        lambda g: {
-            "labels": with_row(g.labels, 1, g.labels[1] | {len(g.prop_names)})
-        },
+    **range_cases(
+        "label-range",
+        lambda g, x: {"labels": with_row(g.labels, 1, g.labels[1] | {x})},
+        "prop_names",
         "label out of range at state 1",
     ),
     "label-without-true": (
@@ -204,26 +215,28 @@ MALFORMED = {
         lambda g: {"agent_capacities": g.agent_capacities[:-1]},
         "capacity sets must cover every agent",
     ),
-    "capacity-range": (
-        lambda g: {
+    **range_cases(
+        "capacity-range",
+        lambda g, x: {
             "agent_capacities": with_row(
-                g.agent_capacities,
-                1,
-                g.agent_capacities[1] | {len(g.capacity_names)},
+                g.agent_capacities, 1, g.agent_capacities[1] | {x}
             )
         },
+        "capacity_names",
         "capacity id out of range",
     ),
     "action-sets-short": (
         lambda g: {"capacity_actions": g.capacity_actions[:-1]},
         "action sets must cover every capacity",
     ),
-    "action-range": (
-        lambda g: {
+    **range_cases(
+        "action-range",
+        lambda g, x: {
             "capacity_actions": with_row(
-                g.capacity_actions, 0, g.capacity_actions[0] | {len(g.action_names)}
+                g.capacity_actions, 0, g.capacity_actions[0] | {x}
             )
         },
+        "action_names",
         "action id out of range",
     ),
     "protocols-short": (
@@ -234,34 +247,41 @@ MALFORMED = {
         lambda g: {"protocols": with_row(g.protocols, 1, g.protocols[1][:-1])},
         "protocols must cover every state",
     ),
-    "protocol-action-range": (
-        lambda g: {
+    **range_cases(
+        "protocol-action-range",
+        lambda g, x: {
             "protocols": with_row(
-                g.protocols,
-                0,
-                with_row(g.protocols[0], 2, frozenset({len(g.action_names)})),
+                g.protocols, 0, with_row(g.protocols[0], 2, frozenset({x}))
             )
         },
+        "action_names",
         "protocol action id out of range",
     ),
-    "transition-state-range": (
-        lambda g: {
-            "transitions": with_transition(g, (0, (0, 1)), len(g.state_names))
-        },
+    # A target out of range, then a source.
+    **range_cases(
+        "transition-state-range",
+        lambda g, x: {"transitions": with_transition(g, (0, (0, 1)), x)},
+        "state_names",
+        "transition state id out of range",
+    ),
+    "transition-source-below": (
+        lambda g: {"transitions": with_transition(g, (-1, (0, 1)), 0)},
         "transition state id out of range",
     ),
     "transition-arity": (
         lambda g: {"transitions": with_transition(g, (0, (0,)), 0)},
         "joint action arity must equal agent count",
     ),
-    "transition-action-range": (
-        lambda g: {
-            "transitions": with_transition(g, (0, (0, len(g.action_names))), 0)
-        },
+    **range_cases(
+        "transition-action-range",
+        lambda g, x: {"transitions": with_transition(g, (0, (0, x)), 0)},
+        "action_names",
         "transition action id out of range",
     ),
-    "init-range": (
-        lambda g: {"init_state": len(g.state_names)},
+    **range_cases(
+        "init-range",
+        lambda g, x: {"init_state": x},
+        "state_names",
         "init state out of range",
     ),
 }
@@ -275,8 +295,8 @@ class TestConstruction:
             dataclasses.replace(g_hand, **fields(g_hand))
 
     def test_range_checks_resume_after_build_game(self, g_hand):
-        # ``build_game`` skips the structure's range checks only while it
-        # constructs, also when that construction fails.
+        # ``build_game`` refuses a game without agents, and a construction
+        # after a failed one checks the structure's ranges like any other.
         with pytest.raises(ValueError, match="^a game needs at least one agent$"):
             build_game(
                 name="g",
